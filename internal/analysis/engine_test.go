@@ -80,7 +80,7 @@ func TestRunAllCanonicalOrder(t *testing.T) {
 
 // TestAutoWorkers pins the worker autotuning: small corpora scan on
 // one core (the merge/remap overhead dominates below
-// minRecordsPerWorker records — the BenchmarkEngineWorkers
+// minRecordsPerWorker records — a measured small-dataset
 // regression), larger ones scale with record count up to GOMAXPROCS,
 // and only the collections someone registered for count.
 func TestAutoWorkers(t *testing.T) {

@@ -62,8 +62,7 @@ func NewDatasetSourceAt(ds *core.Dataset, base core.CollectionCounts) *DatasetSo
 
 // minRecordsPerWorker is the autotuning threshold: below it, an extra
 // traversal worker costs more in merge/remap overhead than its share
-// of the scan saves (the small-dataset regression BenchmarkEngineWorkers
-// measures).
+// of the scan saves (a measured small-dataset regression).
 const minRecordsPerWorker = 1 << 16
 
 // autoWorkers picks the worker count from the number of records the

@@ -2,16 +2,18 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"blueskies/internal/cbor"
 	"blueskies/internal/events"
 )
 
@@ -329,26 +331,113 @@ func TestSimBlockRejectsInlineLabels(t *testing.T) {
 	if _, err := BlockEvent(&RecordBlock{Labels: ds.Labels}); err == nil {
 		t.Fatal("BlockEvent accepted labels")
 	}
-	body, err := cbor.Marshal(blockToWire(&RecordBlock{Labels: ds.Labels}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := MarshalBlock(&RecordBlock{Labels: ds.Labels})
 	if _, _, err := DecodeStreamEvent(&events.Sim{Kind: simKindBlock, Body: body}); err == nil {
 		t.Fatal("DecodeStreamEvent accepted a sim block carrying inline labels")
 	}
 }
 
-// TestDiskVersionGate pins the block-file header checks: wrong magic
-// and future format versions are rejected.
-func TestDiskVersionGate(t *testing.T) {
-	if _, err := NewPartitionReader(bytes.NewReader([]byte("NOTAPART\x00\x00\x00\x01"))); err == nil {
-		t.Error("wrong magic accepted")
+// TestMixedVersionStoreRejected pins the store-level gates: a manifest
+// envelope stamped v1 or v2, or a partition file of another format
+// inside a v3 store (a blended re-spill), fails OpenCorpus with the
+// re-spill instruction; a full re-spill replaces everything and opens
+// clean.
+func TestMixedVersionStoreRejected(t *testing.T) {
+	dir := t.TempDir()
+	parts, m := Split(diskTestDataset(), 2)
+	if err := WriteCorpus(dir, parts, m); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewPartitionReader(bytes.NewReader([]byte(partitionMagic + "\x00\x00\x00\x63"))); err == nil {
-		t.Error("future block-file version accepted")
+	manifest := filepath.Join(dir, ManifestFile)
+	env, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := fmt.Sprintf(`"version": %d`, DiskFormatVersion)
+	if !bytes.Contains(env, []byte(stamp)) {
+		t.Fatalf("manifest envelope lacks %s:\n%s", stamp, env)
+	}
+	for _, v := range []int{1, 2} {
+		old := bytes.Replace(env, []byte(stamp), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+		if err := os.WriteFile(manifest, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCorpus(dir); err == nil || !strings.Contains(err.Error(), "re-spill") {
+			t.Errorf("v%d manifest envelope: got %v, want a re-spill rejection", v, err)
+		}
+	}
+	if err := os.WriteFile(manifest, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A stray v2 partition file inside the v3 store.
+	part := filepath.Join(dir, PartitionFileName(0))
+	data, err := os.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := append(blockFileHeader(2), data[headerLen:]...)
+	if err := os.WriteFile(part, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCorpus(dir); err == nil || !strings.Contains(err.Error(), "re-spill") {
+		t.Errorf("mixed-version store: got %v, want a re-spill rejection", err)
+	}
+
+	if err := WriteCorpus(dir, parts, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCorpus(dir); err != nil {
+		t.Fatalf("full re-spill does not open: %v", err)
+	}
+}
+
+// blockFileHeader is a block-file header stamped with version.
+func blockFileHeader(version uint32) []byte {
+	return binary.BigEndian.AppendUint32([]byte(partitionMagic), version)
+}
+
+// TestDiskVersionGate pins the block-file gates: wrong magic, a
+// truncated header, and any format version but DiskFormatVersion — the
+// retired v1 and v2 among them — are rejected with the re-spill
+// instruction; a frame whose codec tag is a retired v2 codec (0x01
+// tagged row CBOR, 0x02 v2 columnar) errors on read, never panics.
+func TestDiskVersionGate(t *testing.T) {
+	if _, err := NewPartitionReader(bytes.NewReader([]byte("NOTAPART\x00\x00\x00\x03"))); err == nil {
+		t.Error("wrong magic accepted")
 	}
 	if _, err := NewPartitionReader(bytes.NewReader([]byte(partitionMagic))); err == nil {
 		t.Error("header-truncated file accepted")
+	}
+	for _, v := range []uint32{0, 1, 2, DiskFormatVersion + 1, 99} {
+		_, err := NewPartitionReader(bytes.NewReader(blockFileHeader(v)))
+		if err == nil || !strings.Contains(err.Error(), "re-spill") {
+			t.Errorf("v%d block file: got %v, want a re-spill rejection", v, err)
+		}
+	}
+	empty := append(blockFileHeader(DiskFormatVersion), make([]byte, 8)...) // header + end frame
+	pr, err := NewPartitionReader(bytes.NewReader(empty))
+	if err != nil {
+		t.Fatalf("v%d header rejected: %v", DiskFormatVersion, err)
+	}
+	if err := drainPartition(pr); err != nil {
+		t.Fatalf("empty v%d file: %v", DiskFormatVersion, err)
+	}
+
+	payload := MarshalBlock(columnarTestBlock())
+	for _, tag := range []byte{0x01, 0x02} {
+		retagged := append([]byte{tag}, payload[1:]...)
+		file := blockFileHeader(DiskFormatVersion)
+		file = binary.BigEndian.AppendUint32(file, uint32(len(retagged)))
+		file = binary.BigEndian.AppendUint32(file, frameChecksum(retagged))
+		file = append(append(file, retagged...), make([]byte, 8)...)
+		pr, err := NewPartitionReader(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drainPartition(pr); err == nil {
+			t.Errorf("frame with retired codec tag %#x decoded", tag)
+		}
 	}
 }
 
@@ -370,25 +459,14 @@ func drainPartition(pr *PartitionReader) error {
 // a valid partition file, plus pure noise, must all produce errors or
 // clean EOFs — never a panic and never a runaway allocation.
 func TestPartitionReaderHostileBytes(t *testing.T) {
-	for _, version := range []int{1, 2, DiskFormatVersion} {
-		path := filepath.Join(t.TempDir(), "part.cbor")
-		if err := WritePartitionVersion(path, diskTestDataset(), 2, version); err != nil {
-			t.Fatal(err)
-		}
-		valid, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if version == DiskFormatVersion {
-			// Mutate the compressed form too: corrupt LZ frames must
-			// fail as cleanly as corrupt plain frames.
-			comp, err := CompressPartitionBlocks(valid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			valid = comp
-		}
-		versionHeader := append([]byte(partitionMagic), 0, 0, 0, byte(version))
+	plain := shipTestFile(t)
+	// Mutate the compressed form too: corrupt LZ frames must fail as
+	// cleanly as corrupt plain frames.
+	comp, err := CompressPartitionBlocks(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, valid := range [][]byte{plain, comp} {
 		rng := rand.New(rand.NewSource(20240501))
 		for i := 0; i < 4000; i++ {
 			var mut []byte
@@ -407,7 +485,7 @@ func TestPartitionReaderHostileBytes(t *testing.T) {
 				mut = make([]byte, rng.Intn(512))
 				rng.Read(mut)
 				if i%8 == 3 {
-					mut = append(append([]byte(nil), versionHeader...), mut...)
+					mut = append(blockFileHeader(DiskFormatVersion), mut...)
 				}
 			}
 			pr, err := NewPartitionReader(bytes.NewReader(mut))
@@ -423,28 +501,25 @@ func TestPartitionReaderHostileBytes(t *testing.T) {
 // must always return (blocks, error) — never panic, never spin — for
 // any input, seeded with a valid partition file and its mutations.
 func FuzzPartitionReader(f *testing.F) {
-	for _, version := range []int{1, 2, DiskFormatVersion} {
+	for _, blockRecords := range []int{1, 2, DiskBlockRecords} {
 		path := filepath.Join(f.TempDir(), "part.cbor")
-		if err := WritePartitionVersion(path, diskTestDataset(), 2, version); err != nil {
+		if err := WritePartition(path, diskTestDataset(), blockRecords); err != nil {
 			f.Fatal(err)
 		}
 		valid, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		if version == DiskFormatVersion {
-			comp, err := CompressPartitionBlocks(valid)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(comp)
-			f.Add(comp[:len(comp)/2])
+		comp, err := CompressPartitionBlocks(valid)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, seed := range [][]byte{valid, comp} {
+			f.Add(seed)
+			f.Add(seed[:len(seed)/2])
 		}
 	}
-	f.Add([]byte(partitionMagic + "\x00\x00\x00\x01"))
-	f.Add([]byte(partitionMagic + "\x00\x00\x00\x02"))
+	f.Add(blockFileHeader(DiskFormatVersion))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pr, err := NewPartitionReader(bytes.NewReader(data))

@@ -19,12 +19,13 @@
 //	               index-bearing fields are corpus-global or
 //	               partition-local (partition.go)
 //	RecordBlock    the streaming unit: a bounded batch of records from
-//	               any subset of the collections, with a wire codec
-//	               over DAG-CBOR sequencer frames (stream.go)
+//	               any subset of the collections, with one columnar
+//	               codec (columnar.go) carried in sequencer frames
+//	               (stream.go) and disk frames alike
 //	Disk store     a partition set persisted as one block file per
 //	               partition plus a manifest.json sidecar, streamed
 //	               back without ever materializing a partition
-//	               (diskstore.go, format spec in DESIGN.md §8)
+//	               (diskstore.go, format spec in DESIGN.md §8, §11)
 //
 // Two producers fill the model: the live Collector crawls a running
 // deployment exactly the way the paper's crawler did (listRepos → DID

@@ -243,12 +243,35 @@ func publishLabelerRecord(p *pds.Server, acct *pds.Account, defs []lexLabelDef, 
 // WaitForAppView polls until the AppView has indexed at least posts
 // posts, or fails after timeout.
 func (n *Network) WaitForAppView(posts int, timeout time.Duration) error {
+	if waitUntil(timeout, func() bool { return n.AppView.PostCount() >= posts }) {
+		return nil
+	}
+	return fmt.Errorf("netsim: appview has %d posts after %v", n.AppView.PostCount(), timeout)
+}
+
+// WaitForRelayRepos polls until the relay's listRepos enumerates at
+// least repos repositories — every account whose first commit has been
+// crawled off its PDS stream — or fails after timeout.
+func (n *Network) WaitForRelayRepos(repos int, timeout time.Duration) error {
+	listed := func() int {
+		rs, _ := n.Relay.ListRepos("", 0)
+		return len(rs)
+	}
+	if waitUntil(timeout, func() bool { return listed() >= repos }) {
+		return nil
+	}
+	return fmt.Errorf("netsim: relay lists %d repos after %v", listed(), timeout)
+}
+
+// waitUntil polls cond every few milliseconds until it holds (true) or
+// timeout elapses (false).
+func waitUntil(timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if n.AppView.PostCount() >= posts {
-			return nil
+		if cond() {
+			return true
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("netsim: appview has %d posts after %v", n.AppView.PostCount(), timeout)
+	return cond()
 }

@@ -88,8 +88,16 @@ func TestFullNetworkEndToEnd(t *testing.T) {
 	// WHOIS registration for carol's domain.
 	net.RegisterDomain("example.com", whois.Registrar{IANAID: 1068, Name: "NameCheap, Inc."}, false)
 
-	// Wait for propagation through relay → appview.
+	// Wait for propagation through relay → appview (the post and the
+	// feed generator record), and for the relay to have crawled every
+	// account's first commit.
 	if err := net.WaitForAppView(1, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(3*time.Second, func() bool { return len(net.AppView.FeedGenerators()) >= 1 }) {
+		t.Fatal("appview never indexed the feed generator record")
+	}
+	if err := net.WaitForRelayRepos(4, 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,13 +195,19 @@ func TestFirehoseEventCounting(t *testing.T) {
 	alice := users[0]
 	col := &core.Collector{RelayURL: net.Relay.URL()}
 
+	// The three account-creation identity events reach the relay's
+	// firehose first, so the collector's cursor-0 subscription
+	// backfills them ahead of the live commit and handle.
+	relayed := func() bool { return net.Relay.Sequencer().Next() > 3 }
+	if !waitUntil(3*time.Second, relayed) {
+		t.Fatalf("relay sequenced %d events, want the 3 account identities", net.Relay.Sequencer().Next()-1)
+	}
 	done := make(chan core.EventCounts, 1)
 	go func() {
 		// 3 identity events (backfill) + 1 commit + 1 handle.
 		counts, _ := col.CollectFirehose(5, 3*time.Second)
 		done <- counts
 	}()
-	time.Sleep(50 * time.Millisecond)
 	if _, err := alice.pds.CreateRecord(alice.acct.DID, lexicon.Post, "3kddddddddddd",
 		lexicon.NewPost("counted", nil, time.Now())); err != nil {
 		t.Fatal(err)

@@ -13,16 +13,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"blueskies/internal/core"
 )
 
 // BlockCache is the worker-side content-addressed store for shipped
 // partition block payloads. Keys are opaque to the cache; schedulers
 // key by the partition's content hash when the manifest records one
-// ("c/<hash>/v<format>", elasticRun.unitKey) — so a payload cached
-// during one run satisfies any later run over *any* corpus containing
-// the same partition bytes at the same format, not just the corpus
-// that shipped it — and fall back to the fingerprint-scoped CacheKey
-// for older manifests. Either way the scheduler learns the worker's
+// ("c/<hash>/v3", elasticRun.unitKey) — so a payload cached during one
+// run satisfies any later run over *any* corpus containing the same
+// partition bytes, not just the corpus that shipped it — and fall back
+// to the fingerprint-scoped CacheKey for older manifests. Either way the scheduler learns the worker's
 // cached keys from describe and sends a key reference instead of the
 // bytes, turning a warm re-run's per-partition ship cost into a few
 // hundred bytes.
@@ -320,9 +321,16 @@ func (c *BlockCache) touchLocked(key string) {
 	}
 }
 
-// CacheKey composes the content address of one shipped partition
-// payload: the corpus manifest's fingerprint, the partition index, and
-// the block format version of the bytes.
-func CacheKey(fingerprint string, part, format int) string {
-	return fmt.Sprintf("%s/%d/v%d", fingerprint, part, format)
+// CacheKey composes the fingerprint-scoped content address of one
+// shipped partition payload: the corpus manifest's fingerprint and the
+// partition index, suffixed with the block format of the bytes.
+func CacheKey(fingerprint string, part int) string {
+	return formatKey(fmt.Sprintf("%s/%d", fingerprint, part))
+}
+
+// formatKey suffixes a payload address with the block format the
+// bytes are framed in ("…/v3"), so an entry cached under any other
+// format can never be served.
+func formatKey(addr string) string {
+	return fmt.Sprintf("%s/v%d", addr, core.DiskFormatVersion)
 }

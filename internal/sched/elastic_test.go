@@ -161,12 +161,12 @@ func TestWorkerPutBlocksHostile(t *testing.T) {
 		srv  *Server
 		req  []byte
 	}{
-		{"no cache", &Server{}, enc(&PutBlocksRequest{Version: 1, Key: "k", Blocks: blocks})},
+		{"no cache", &Server{}, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k", Blocks: blocks})},
 		{"garbage body", srv, []byte("not cbor")},
 		{"future version", srv, enc(&PutBlocksRequest{Version: ProtocolVersion + 1, Key: "k", Blocks: blocks})},
-		{"empty key", srv, enc(&PutBlocksRequest{Version: 1, Blocks: blocks})},
-		{"empty blocks", srv, enc(&PutBlocksRequest{Version: 1, Key: "k"})},
-		{"not a block file", srv, enc(&PutBlocksRequest{Version: 1, Key: "k", Blocks: []byte("junk payload")})},
+		{"empty key", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Blocks: blocks})},
+		{"empty blocks", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k"})},
+		{"not a block file", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k", Blocks: []byte("junk payload")})},
 	}
 	for _, tc := range cases {
 		if _, err := tc.srv.PutBlocks(tc.req); err == nil {
@@ -176,7 +176,7 @@ func TestWorkerPutBlocksHostile(t *testing.T) {
 	if cache.Bytes() != 0 {
 		t.Fatal("a rejected putBlocks left bytes in the cache")
 	}
-	resp, err := srv.PutBlocks(enc(&PutBlocksRequest{Version: 1, Key: "good", Blocks: blocks}))
+	resp, err := srv.PutBlocks(enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "good", Blocks: blocks}))
 	if err != nil || !resp.Stored {
 		t.Fatalf("valid putBlocks: %+v, %v", resp, err)
 	}
@@ -196,7 +196,7 @@ func TestWorkerEvalFromCacheOnly(t *testing.T) {
 	srv := &Server{Cache: cache}
 	info := c.Manifest.Partitions[0]
 	req := &EvalRequest{
-		Version: 1,
+		Version: ProtocolVersion,
 		Base:    info.Base,
 		Records: &info.Records,
 		Workers: 1,
@@ -381,12 +381,6 @@ func (w *delayedWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	time.Sleep(w.delay)
 	return w.inner.Eval(ctx, req)
 }
-func (w *delayedWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	if fw, ok := w.inner.(FormatsWorker); ok {
-		return fw.BlockFormats(ctx)
-	}
-	return []int{1}, nil
-}
 
 // TestElasticSpeculationCoversStraggler is the speculation half of the
 // acceptance gate: with one worker delaying every evaluation ~100×,
@@ -446,9 +440,6 @@ func (w *divergingWorker) Eval(ctx context.Context, body []byte) ([]byte, error)
 		return nil, err
 	}
 	return w.inner.Eval(ctx, mutated)
-}
-func (w *divergingWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	return w.inner.BlockFormats(ctx)
 }
 
 // shadowCorpus writes a corpus structurally identical to the test
@@ -662,7 +653,7 @@ func TestElasticCrossCorpusCacheSharing(t *testing.T) {
 	m2 := *a.Manifest
 	m2.Partitions = append([]core.PartitionInfo(nil), a.Manifest.Partitions...)
 	m2.Seed = a.Manifest.Seed + 1
-	if err := core.WriteManifestVersion(dirB, &m2, a.Version); err != nil {
+	if err := core.WriteManifest(dirB, &m2); err != nil {
 		t.Fatal(err)
 	}
 	b, err := core.OpenCorpus(dirB)

@@ -49,25 +49,16 @@ const CacheMissName = "CacheMiss"
 // ContentTypeCBOR labels the protocol's request and response bodies.
 const ContentTypeCBOR = "application/cbor"
 
-// ProtocolVersion is the evalPartition request format. Workers reject
-// versions newer than they understand; new optional fields don't bump
+// ProtocolVersion is the evalPartition/putBlocks request format.
+// Workers accept exactly this version: version 1 peers negotiated
+// block formats, and a build on either side of that change must fail
+// loudly rather than misread a request. New optional fields don't bump
 // it (the CBOR struct decoder ignores unknown keys).
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MaxShipBytes bounds one shipped partition's framed block bytes — the
 // worker-side request body limit.
 const MaxShipBytes = 256 << 20
-
-// SupportedBlockFormats lists the partition block-file format versions
-// this build reads and writes, ascending — what describe advertises
-// so schedulers can downgrade shipped blocks per worker.
-func SupportedBlockFormats() []int {
-	out := make([]int, 0, core.DiskFormatVersion)
-	for v := 1; v <= core.DiskFormatVersion; v++ {
-		out = append(out, v)
-	}
-	return out
-}
 
 // EvalRequest is the evalPartition input: which partition to evaluate,
 // where its blocks live, and the corpus placement the level-two fold
@@ -87,11 +78,6 @@ type EvalRequest struct {
 	Records *core.CollectionCounts `cbor:"records,omitempty"`
 	// Workers is the traversal worker count (0 = the server's default).
 	Workers int `cbor:"workers,omitempty"`
-	// MaxFormat is the highest block format version the scheduler
-	// decodes; the worker encodes the returned state's embedded world
-	// block at min(MaxFormat, its own max). 0 (a pre-v2 scheduler that
-	// never sends the field) means format 1.
-	MaxFormat int `cbor:"maxFormat,omitempty"`
 	// CacheKey names the partition payload in the worker's block cache
 	// (CacheKey function: manifest fingerprint + partition + format).
 	// With inline Blocks it asks the worker to cache them after use;
@@ -124,10 +110,6 @@ type PutBlocksResponse struct {
 type DescribeResponse struct {
 	Evals     int64  `json:"evals"`
 	StoreRoot string `json:"storeRoot,omitempty"`
-	// Formats lists the block format versions this worker reads,
-	// ascending. Absent on pre-v2 workers, which a scheduler must
-	// treat as format-1-only.
-	Formats []int `json:"formats,omitempty"`
 	// CacheEnabled reports whether the worker runs a block cache
 	// (accepts putBlocks and CacheKey-only evaluations).
 	CacheEnabled bool `json:"cacheEnabled,omitempty"`
@@ -184,7 +166,7 @@ func (s *Server) Mux() *xrpc.Mux {
 
 // Describe assembles the describe query's answer.
 func (s *Server) Describe() *DescribeResponse {
-	dr := &DescribeResponse{Evals: s.Evals(), StoreRoot: s.StoreRoot, Formats: SupportedBlockFormats()}
+	dr := &DescribeResponse{Evals: s.Evals(), StoreRoot: s.StoreRoot}
 	if s.Cache != nil {
 		dr.CacheEnabled = true
 		dr.Cached = s.Cache.Keys()
@@ -194,8 +176,8 @@ func (s *Server) Describe() *DescribeResponse {
 }
 
 // PutBlocks stores one prefetched partition payload in the cache. The
-// payload's frame header is validated (magic + a known format version)
-// before storing — the cache never holds bytes that could not have
+// payload's frame header is validated (magic + the block format) before
+// storing — the cache never holds bytes that could not have
 // come from a partition store; the per-frame checksums are verified at
 // evaluation time like any shipped payload.
 func (s *Server) PutBlocks(input []byte) (*PutBlocksResponse, error) {
@@ -206,8 +188,8 @@ func (s *Server) PutBlocks(input []byte) (*PutBlocksResponse, error) {
 	if err := cbor.Unmarshal(input, &req); err != nil {
 		return nil, xrpc.ErrInvalidRequest("decode putBlocks request: %v", err)
 	}
-	if req.Version < 1 || req.Version > ProtocolVersion {
-		return nil, xrpc.ErrInvalidRequest("protocol version %d not supported (worker speaks ≤ %d)", req.Version, ProtocolVersion)
+	if err := checkProtocol(req.Version); err != nil {
+		return nil, err
 	}
 	if req.Key == "" {
 		return nil, xrpc.ErrInvalidRequest("putBlocks without a cache key")
@@ -233,8 +215,8 @@ func (s *Server) EvalPartition(input []byte) ([]byte, error) {
 	if err := cbor.Unmarshal(input, &req); err != nil {
 		return nil, xrpc.ErrInvalidRequest("decode eval request: %v", err)
 	}
-	if req.Version < 1 || req.Version > ProtocolVersion {
-		return nil, xrpc.ErrInvalidRequest("protocol version %d not supported (worker speaks ≤ %d)", req.Version, ProtocolVersion)
+	if err := checkProtocol(req.Version); err != nil {
+		return nil, err
 	}
 	eng := analysis.NewFullEngine()
 	if fp := eng.Fingerprint(); len(req.Accs) > 0 && !equalStrings(req.Accs, fp) {
@@ -249,14 +231,7 @@ func (s *Server) EvalPartition(input []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	blockFormat := req.MaxFormat
-	if blockFormat < 1 {
-		blockFormat = 1 // pre-v2 schedulers never send the field
-	}
-	if blockFormat > core.DiskFormatVersion {
-		blockFormat = core.DiskFormatVersion
-	}
-	state, err := eng.SnapshotFormat(src, blockFormat)
+	state, err := eng.Snapshot(src)
 	if err != nil {
 		return nil, xrpc.ErrInternal("evaluate partition: %v", err)
 	}
@@ -269,6 +244,15 @@ func (s *Server) EvalPartition(input []byte) ([]byte, error) {
 	}
 	s.evals.Add(1)
 	return state, nil
+}
+
+// checkProtocol rejects a request from a scheduler speaking another
+// protocol version.
+func checkProtocol(v int) error {
+	if v != ProtocolVersion {
+		return xrpc.ErrInvalidRequest("protocol version %d not supported (worker speaks %d); run matching scheduler and worker builds", v, ProtocolVersion)
+	}
+	return nil
 }
 
 // source resolves the request's partition into a block-stream Source.
@@ -378,12 +362,6 @@ func (l *Loopback) Name() string {
 // Eval implements Worker.
 func (l *Loopback) Eval(_ context.Context, req []byte) ([]byte, error) {
 	return l.Server.EvalPartition(req)
-}
-
-// BlockFormats implements FormatsWorker: an in-process worker reads
-// every format this build does.
-func (l *Loopback) BlockFormats(context.Context) ([]int, error) {
-	return SupportedBlockFormats(), nil
 }
 
 // CacheInfo implements CacheWorker straight off the server's cache.
