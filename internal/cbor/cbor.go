@@ -16,10 +16,32 @@
 // integers, floats, cid.CID values, and structs. Struct fields use the
 // `cbor:"name"` tag (with an optional ",omitempty" flag) and fall back
 // to the JSON-style lowercase of the field name when untagged.
+//
+// Each struct type's layout is derived once, on first use, into a
+// cached field plan: its exported fields, their encoded keys, sorted
+// into canonical key order. Marshal writes a struct's fields straight
+// from the plan. Two fields that map to the same key make the plan
+// fail with a panic, since such a type has no faithful wire form.
+//
+// Unmarshal decodes straight into typed targets. Structs match keys
+// against the plan; slices, integers, floats, strings, byte slices,
+// bools and pointers to them are filled in place; every other pairing
+// of wire item and target (interfaces, maps, arrays, a null, a wire
+// type the target does not take) goes through the generic tree that
+// Decode builds and is copied from there, so both routes accept the
+// same inputs and produce the same value. Struct fields whose key is
+// absent are left untouched, non-nil pointers are reused, `any`
+// targets receive the generic tree, integers may fill float fields,
+// and out-of-range integers are errors. Unknown keys are decoded, and
+// so validated, then dropped. Declared lengths are bounded by the
+// bytes remaining, and slices are never pre-sized beyond what the
+// generic tree would allocate for the same header.
 package cbor
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 )
 
 // Marshal encodes v as deterministic DAG-CBOR.
@@ -45,8 +67,12 @@ func MustMarshal(v any) []byte {
 // v may be a *any (producing map[string]any / []any / primitive trees)
 // or a pointer to a concrete Go type mirroring the document shape.
 func Unmarshal(data []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return errors.New("cbor: Unmarshal target must be a non-nil pointer")
+	}
 	d := &decoder{data: data}
-	if err := d.decodeInto(v); err != nil {
+	if err := d.decodeInto(rv.Elem()); err != nil {
 		return err
 	}
 	if d.pos != len(d.data) {

@@ -99,16 +99,8 @@ func (d *decoder) decodeValue() (any, error) {
 		return nil, err
 	}
 	switch major {
-	case majorUint:
-		if arg > math.MaxInt64 {
-			return nil, fmt.Errorf("cbor: uint %d overflows int64", arg)
-		}
-		return int64(arg), nil
-	case majorNegInt:
-		if arg > math.MaxInt64 {
-			return nil, fmt.Errorf("cbor: negative int overflows int64")
-		}
-		return -1 - int64(arg), nil
+	case majorUint, majorNegInt:
+		return intArg(major, arg)
 	case majorBytes:
 		b, err := d.readN(arg)
 		if err != nil {
@@ -170,20 +162,9 @@ func (d *decoder) decodeValue() (any, error) {
 		}
 		return m, nil
 	case majorTag:
-		if arg != cidLinkTag {
-			return nil, fmt.Errorf("cbor: unsupported tag %d", arg)
-		}
-		inner, err := d.decodeValue()
+		c, err := d.readLink(arg)
 		if err != nil {
 			return nil, err
-		}
-		raw, ok := inner.([]byte)
-		if !ok || len(raw) == 0 || raw[0] != 0x00 {
-			return nil, errors.New("cbor: tag 42 must wrap identity-multibase CID bytes")
-		}
-		c, err := cid.Decode(raw[1:])
-		if err != nil {
-			return nil, fmt.Errorf("cbor: bad CID link: %w", err)
 		}
 		return c, nil
 	case majorSimple:
@@ -205,23 +186,252 @@ func (d *decoder) decodeValue() (any, error) {
 	return nil, fmt.Errorf("cbor: unhandled major type %d", major)
 }
 
-func canonicalLess(a, b string) bool {
+// readLink reads the rest of a tag item whose head carried tag: only
+// tag 42 wrapping an identity-multibase binary CID is allowed.
+func (d *decoder) readLink(tag uint64) (cid.CID, error) {
+	if tag != cidLinkTag {
+		return cid.CID{}, fmt.Errorf("cbor: unsupported tag %d", tag)
+	}
+	major, _, n, err := d.readHead()
+	if err != nil {
+		return cid.CID{}, err
+	}
+	if major != majorBytes {
+		return cid.CID{}, errors.New("cbor: tag 42 must wrap identity-multibase CID bytes")
+	}
+	raw, err := d.readN(n)
+	if err != nil {
+		return cid.CID{}, err
+	}
+	if len(raw) == 0 || raw[0] != 0x00 {
+		return cid.CID{}, errors.New("cbor: tag 42 must wrap identity-multibase CID bytes")
+	}
+	c, err := cid.Decode(raw[1:])
+	if err != nil {
+		return cid.CID{}, fmt.Errorf("cbor: bad CID link: %w", err)
+	}
+	return c, nil
+}
+
+// intArg is the int64 value of an integer head.
+func intArg(major byte, arg uint64) (int64, error) {
+	if arg > math.MaxInt64 {
+		if major == majorUint {
+			return 0, fmt.Errorf("cbor: uint %d overflows int64", arg)
+		}
+		return 0, fmt.Errorf("cbor: negative int overflows int64")
+	}
+	if major == majorUint {
+		return int64(arg), nil
+	}
+	return -1 - int64(arg), nil
+}
+
+// keyLess and nameLess are canonicalLess for raw key bytes; the
+// conversions in the comparisons do not allocate.
+func keyLess(a, b []byte) bool {
 	if len(a) != len(b) {
 		return len(a) < len(b)
 	}
-	return a < b
+	return string(a) < string(b)
 }
 
-func (d *decoder) decodeInto(v any) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return errors.New("cbor: Unmarshal target must be a non-nil pointer")
+func nameLess(a string, b []byte) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
 	}
+	return a < string(b)
+}
+
+// isNull reports whether a head is the null simple value.
+func isNull(major, info byte, arg uint64) bool {
+	return major == majorSimple && info != simpleFloat64 && arg == simpleNull
+}
+
+// decodeInto decodes the next item straight into dst, which must be
+// settable. Structs, slices, integers, floats, strings, byte strings,
+// bools and pointers to them are filled in place; every other pairing
+// of wire item and target shape rewinds and goes through decodeValue +
+// assign, so both paths accept the same inputs and yield the same value.
+func (d *decoder) decodeInto(dst reflect.Value) error {
+	start := d.pos
+	major, info, arg, err := d.readHead()
+	if err != nil {
+		return err
+	}
+	switch dst.Kind() {
+	case reflect.Pointer:
+		if !isNull(major, info, arg) {
+			if dst.IsNil() {
+				dst.Set(reflect.New(dst.Type().Elem()))
+			}
+			d.pos = start
+			return d.decodeInto(dst.Elem())
+		}
+	case reflect.Bool:
+		if major == majorSimple && info != simpleFloat64 && (arg == simpleFalse || arg == simpleTrue) {
+			dst.SetBool(arg == simpleTrue)
+			return nil
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if major == majorUint || major == majorNegInt {
+			x, err := intArg(major, arg)
+			if err != nil {
+				return err
+			}
+			if dst.OverflowInt(x) {
+				return fmt.Errorf("cbor: %d overflows %s", x, dst.Type())
+			}
+			dst.SetInt(x)
+			return nil
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if major == majorUint {
+			x, err := intArg(major, arg)
+			if err != nil {
+				return err
+			}
+			if dst.OverflowUint(uint64(x)) {
+				return fmt.Errorf("cbor: %d overflows %s", x, dst.Type())
+			}
+			dst.SetUint(uint64(x))
+			return nil
+		}
+	case reflect.Float32, reflect.Float64:
+		switch {
+		case major == majorSimple && info == simpleFloat64:
+			dst.SetFloat(math.Float64frombits(arg))
+			return nil
+		case major == majorUint || major == majorNegInt:
+			x, err := intArg(major, arg)
+			if err != nil {
+				return err
+			}
+			dst.SetFloat(float64(x))
+			return nil
+		}
+	case reflect.String:
+		if major == majorText {
+			b, err := d.readN(arg)
+			if err != nil {
+				return err
+			}
+			if !utf8.Valid(b) {
+				return errors.New("cbor: invalid UTF-8 in text string")
+			}
+			dst.SetString(string(b))
+			return nil
+		}
+	case reflect.Slice:
+		if major == majorBytes && dst.Type().Elem().Kind() == reflect.Uint8 {
+			b, err := d.readN(arg)
+			if err != nil {
+				return err
+			}
+			dst.SetBytes(append(make([]byte, 0, len(b)), b...))
+			return nil
+		}
+		if major == majorArray {
+			return d.decodeSlice(dst, arg)
+		}
+	case reflect.Struct:
+		switch {
+		case dst.Type() == cidType:
+			if major == majorTag {
+				c, err := d.readLink(arg)
+				if err != nil {
+					return err
+				}
+				*dst.Addr().Interface().(*cid.CID) = c
+				return nil
+			}
+		case major == majorMap:
+			return d.decodeStruct(dst, arg)
+		}
+	}
+	d.pos = start
 	val, err := d.decodeValue()
 	if err != nil {
 		return err
 	}
-	return assign(rv.Elem(), val)
+	return assign(dst, val)
+}
+
+// maxElemPresize is the in-memory size of one []any element: the
+// generic path pre-sizes an array to its declared length at this cost
+// per element, and the typed path never pre-sizes more bytes than that.
+const maxElemPresize = 16
+
+// decodeSlice decodes an array of n items into a fresh slice stored in
+// dst. Every item takes at least one byte, so n is first bounded by the
+// bytes remaining. The slice is pre-sized to n only while that costs
+// no more than the generic path would; beyond that it grows by append,
+// so a hostile length cannot buy a large allocation with a short input.
+func (d *decoder) decodeSlice(dst reflect.Value, n uint64) error {
+	remaining := uint64(len(d.data) - d.pos)
+	if n > remaining {
+		return errTruncated
+	}
+	c := n
+	if size := uint64(dst.Type().Elem().Size()); size > maxElemPresize {
+		c = min(n, maxElemPresize*remaining/size)
+	}
+	dst.Set(reflect.MakeSlice(dst.Type(), 0, int(c)))
+	for i := 0; i < int(n); i++ {
+		if i == dst.Cap() {
+			dst.Grow(1)
+		}
+		dst.SetLen(i + 1)
+		if err := d.decodeInto(dst.Index(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeStruct decodes a map of n entries into the struct dst. Keys are
+// checked for canonical order exactly as decodeValue checks them; since
+// the plan's fields share that order, one forward cursor finds each
+// key's field. Fields whose key is absent are left untouched, and
+// unknown keys are decoded (and so validated) and dropped.
+func (d *decoder) decodeStruct(dst reflect.Value, n uint64) error {
+	if n > uint64(len(d.data)-d.pos) {
+		return errTruncated
+	}
+	fields := planFor(dst.Type()).fields
+	next := 0
+	var prev []byte
+	for i := uint64(0); i < n; i++ {
+		kmaj, _, karg, err := d.readHead()
+		if err != nil {
+			return err
+		}
+		if kmaj != majorText {
+			return errors.New("cbor: map key must be a text string")
+		}
+		key, err := d.readN(karg)
+		if err != nil {
+			return err
+		}
+		if i > 0 && !keyLess(prev, key) {
+			return fmt.Errorf("cbor: map keys not in canonical order (%q after %q)", key, prev)
+		}
+		prev = key
+		for next < len(fields) && nameLess(fields[next].name, key) {
+			next++
+		}
+		if next < len(fields) && fields[next].name == string(key) {
+			f := &fields[next]
+			if err := d.decodeInto(dst.Field(f.index)); err != nil {
+				return fmt.Errorf("cbor: field %q: %w", f.name, err)
+			}
+			continue
+		}
+		if _, err := d.decodeValue(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // assign stores the generic decoded value val into the typed
@@ -315,7 +525,7 @@ func assign(dst reflect.Value, val any) error {
 			dst.Set(out)
 			return nil
 		case reflect.Struct:
-			for _, f := range structFields(dst.Type()) {
+			for _, f := range planFor(dst.Type()).fields {
 				item, ok := x[f.name]
 				if !ok {
 					continue

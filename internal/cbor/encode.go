@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 
 	"blueskies/internal/cid"
 )
@@ -144,7 +143,7 @@ func (e *encoder) encodeStringMap(m map[string]any) error {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortCanonical(keys)
+	sort.Slice(keys, func(i, j int) bool { return canonicalLess(keys[i], keys[j]) })
 	e.head(majorMap, uint64(len(keys)))
 	for _, k := range keys {
 		e.head(majorText, uint64(len(k)))
@@ -156,20 +155,17 @@ func (e *encoder) encodeStringMap(m map[string]any) error {
 	return nil
 }
 
-// sortCanonical orders map keys per DAG-CBOR: shorter keys first,
-// equal-length keys bytewise lexicographic.
-func sortCanonical(keys []string) {
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-}
-
+// encodeReflect encodes rv by its kind. It writes the same bytes that
+// encode(rv.Interface()) would, without boxing rv.
 func (e *encoder) encodeReflect(rv reflect.Value) error {
 	switch rv.Kind() {
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
+		if rv.IsNil() {
+			e.buf = append(e.buf, majorSimple<<5|simpleNull)
+			return nil
+		}
+		return e.encodeReflect(rv.Elem())
+	case reflect.Interface:
 		if rv.IsNil() {
 			e.buf = append(e.buf, majorSimple<<5|simpleNull)
 			return nil
@@ -187,14 +183,20 @@ func (e *encoder) encodeReflect(rv reflect.Value) error {
 		e.encodeFloat(rv.Float())
 		return nil
 	case reflect.String:
-		return e.encode(rv.String())
+		s := rv.String()
+		e.head(majorText, uint64(len(s)))
+		e.buf = append(e.buf, s...)
+		return nil
 	case reflect.Slice, reflect.Array:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			return e.encode(rv.Convert(reflect.TypeOf([]byte(nil))).Interface())
+		if rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8 {
+			b := rv.Bytes()
+			e.head(majorBytes, uint64(len(b)))
+			e.buf = append(e.buf, b...)
+			return nil
 		}
 		e.head(majorArray, uint64(rv.Len()))
 		for i := 0; i < rv.Len(); i++ {
-			if err := e.encode(rv.Index(i).Interface()); err != nil {
+			if err := e.encodeReflect(rv.Index(i)); err != nil {
 				return err
 			}
 		}
@@ -203,50 +205,21 @@ func (e *encoder) encodeReflect(rv reflect.Value) error {
 		if rv.Type().Key().Kind() != reflect.String {
 			return fmt.Errorf("cbor: map keys must be strings, got %s", rv.Type().Key())
 		}
-		m := make(map[string]any, rv.Len())
-		iter := rv.MapRange()
-		for iter.Next() {
-			m[iter.Key().String()] = iter.Value().Interface()
+		keys := rv.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return canonicalLess(keys[i].String(), keys[j].String()) })
+		e.head(majorMap, uint64(len(keys)))
+		for _, k := range keys {
+			e.head(majorText, uint64(k.Len()))
+			e.buf = append(e.buf, k.String()...)
+			if err := e.encodeReflect(rv.MapIndex(k)); err != nil {
+				return err
+			}
 		}
-		return e.encodeStringMap(m)
+		return nil
 	case reflect.Struct:
 		return e.encodeStruct(rv)
 	}
 	return fmt.Errorf("cbor: unsupported type %s", rv.Type())
-}
-
-type fieldInfo struct {
-	name      string
-	index     int
-	omitEmpty bool
-}
-
-func structFields(t reflect.Type) []fieldInfo {
-	fields := make([]fieldInfo, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name := strings.ToLower(f.Name[:1]) + f.Name[1:]
-		omitEmpty := false
-		if tag, ok := f.Tag.Lookup("cbor"); ok {
-			parts := strings.Split(tag, ",")
-			if parts[0] == "-" {
-				continue
-			}
-			if parts[0] != "" {
-				name = parts[0]
-			}
-			for _, opt := range parts[1:] {
-				if opt == "omitempty" {
-					omitEmpty = true
-				}
-			}
-		}
-		fields = append(fields, fieldInfo{name: name, index: i, omitEmpty: omitEmpty})
-	}
-	return fields
 }
 
 func isEmptyValue(rv reflect.Value) bool {
@@ -264,26 +237,39 @@ func isEmptyValue(rv reflect.Value) bool {
 	case reflect.Float32, reflect.Float64:
 		return rv.Float() == 0
 	case reflect.Struct:
-		if c, ok := rv.Interface().(cid.CID); ok {
-			return !c.Defined()
+		if rv.Type() == cidType {
+			return !cidOf(rv).Defined()
 		}
 	}
 	return false
 }
 
+// encodeStruct writes rv as a map whose keys come from its type's plan,
+// already in canonical order.
 func (e *encoder) encodeStruct(rv reflect.Value) error {
-	if c, ok := rv.Interface().(cid.CID); ok {
-		return e.encodeCID(c)
+	if rv.Type() == cidType {
+		return e.encodeCID(cidOf(rv))
 	}
-	m := make(map[string]any)
-	for _, f := range structFields(rv.Type()) {
+	fields := planFor(rv.Type()).fields
+	n := len(fields)
+	for i := range fields {
+		if fields[i].omitEmpty && isEmptyValue(rv.Field(fields[i].index)) {
+			n--
+		}
+	}
+	e.head(majorMap, uint64(n))
+	for i := range fields {
+		f := &fields[i]
 		fv := rv.Field(f.index)
 		if f.omitEmpty && isEmptyValue(fv) {
 			continue
 		}
-		m[f.name] = fv.Interface()
+		e.buf = append(e.buf, f.key...)
+		if err := e.encodeReflect(fv); err != nil {
+			return err
+		}
 	}
-	return e.encodeStringMap(m)
+	return nil
 }
 
 // CanonicalEqual reports whether two encodings are identical; useful in

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -369,28 +370,48 @@ func TestElasticCacheCorruptionReships(t *testing.T) {
 
 // ---- elastic scheduler: speculation ----
 
-// delayedWorker defers every evaluation by a fixed delay — the
-// injected straggler.
+// stragglerDeadline bounds how long a test straggler may be held: the
+// returned channel closes after a minute. A scheduler that never
+// cancels the straggler's copy then finishes the run anyway, and the
+// test fails on its speculation assertions instead of hanging.
+func stragglerDeadline(t *testing.T) <-chan struct{} {
+	ch := make(chan struct{})
+	timer := time.AfterFunc(time.Minute, func() { close(ch) })
+	t.Cleanup(func() { timer.Stop() })
+	return ch
+}
+
+// delayedWorker is the injected straggler: its first evaluation is
+// held until the scheduler cancels it, which deliver does only once
+// another runner's copy of the unit has won, or until release closes.
+// Later evaluations pass straight through.
 type delayedWorker struct {
-	inner Worker
-	delay time.Duration
+	inner   Worker
+	release <-chan struct{}
+	held    atomic.Bool
 }
 
 func (w *delayedWorker) Name() string { return w.inner.Name() + "-slow" }
 func (w *delayedWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
-	time.Sleep(w.delay)
+	if w.held.CompareAndSwap(false, true) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-w.release:
+		}
+	}
 	return w.inner.Eval(ctx, req)
 }
 
 // TestElasticSpeculationCoversStraggler is the speculation half of the
-// acceptance gate: with one worker delaying every evaluation ~100×,
-// the fast worker re-executes the straggler's in-flight unit and its
-// result lands first — the straggler no longer gates the run, and the
-// output is still byte-identical (the late duplicate is cross-checked).
+// acceptance gate: the straggler's first unit is held until it is
+// canceled, so the run can only finish through the fast worker
+// re-executing that unit and winning — the straggler no longer gates
+// the run, and the output is still byte-identical.
 func TestElasticSpeculationCoversStraggler(t *testing.T) {
 	c := spillN(t, 4)
 	fast := &Loopback{Server: &Server{}, Label: "fast"}
-	slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "straggler"}, delay: 500 * time.Millisecond}
+	slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "straggler"}, release: stragglerDeadline(t)}
 	s := New(c, fast, slow)
 	s.ShipBlocks = true
 	s.SpeculateAfter = 10 * time.Millisecond
@@ -401,7 +422,7 @@ func TestElasticSpeculationCoversStraggler(t *testing.T) {
 	}
 	compareToGolden(t, "elastic-speculation", got)
 	if n := s.Stats.Speculations.Load(); n < 1 {
-		t.Fatalf("no speculation launched against a 500ms straggler (got %d)", n)
+		t.Fatalf("no speculation launched against a held straggler (got %d)", n)
 	}
 	if n := s.Stats.SpecWins.Load(); n < 1 {
 		t.Fatalf("speculative copies never beat the straggler (got %d wins)", n)
@@ -411,16 +432,25 @@ func TestElasticSpeculationCoversStraggler(t *testing.T) {
 // divergingWorker swaps the shipped blocks for a shadow corpus whose
 // record counts are identical but whose contents differ: the returned
 // state passes the record-count cross-check but is wrong — the canned
-// nondeterminism speculation's cross-check must catch.
+// nondeterminism speculation's cross-check must catch. Its first
+// evaluation is held until the scheduler cancels it (an honest
+// speculative copy won) or release closes, and then still returns its
+// divergent state, so the late duplicate always meets the cross-check.
 type divergingWorker struct {
-	inner  *Loopback
-	shadow *core.Corpus
-	delay  time.Duration
+	inner   *Loopback
+	shadow  *core.Corpus
+	release <-chan struct{}
+	held    atomic.Bool
 }
 
 func (w *divergingWorker) Name() string { return w.inner.Name() + "-evil" }
 func (w *divergingWorker) Eval(ctx context.Context, body []byte) ([]byte, error) {
-	time.Sleep(w.delay)
+	if w.held.CompareAndSwap(false, true) {
+		select {
+		case <-ctx.Done():
+		case <-w.release:
+		}
+	}
 	var req EvalRequest
 	if err := cbor.Unmarshal(body, &req); err != nil {
 		return nil, err
@@ -439,7 +469,7 @@ func (w *divergingWorker) Eval(ctx context.Context, body []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	return w.inner.Eval(ctx, mutated)
+	return w.inner.Eval(context.WithoutCancel(ctx), mutated)
 }
 
 // shadowCorpus writes a corpus structurally identical to the test
@@ -470,9 +500,9 @@ func TestElasticSpeculativeDivergenceFailsRun(t *testing.T) {
 	c := spillN(t, 4)
 	honest := &Loopback{Server: &Server{}, Label: "honest"}
 	evil := &divergingWorker{
-		inner:  &Loopback{Server: &Server{}, Label: "evil"},
-		shadow: shadowCorpus(t, 4),
-		delay:  300 * time.Millisecond,
+		inner:   &Loopback{Server: &Server{}, Label: "evil"},
+		shadow:  shadowCorpus(t, 4),
+		release: stragglerDeadline(t),
 	}
 	s := New(c, honest, evil)
 	s.ShipBlocks = true
@@ -538,15 +568,17 @@ func TestElasticSplitSinglePartition(t *testing.T) {
 
 // TestElasticChaosMatrix is the satellite CI scenario run in-process:
 // two workers where one dies after its first evaluation and the other
-// delays every evaluation (straggler), with stealing, speculation, and
+// holds its first evaluation (straggler), with stealing, speculation, and
 // splitting all enabled — across both shipping modes the output must
 // remain byte-identical to the golden.
 func TestElasticChaosMatrix(t *testing.T) {
 	for _, ship := range []bool{false, true} {
 		c := spillN(t, 8)
-		dying := &dyingWorker{inner: &Loopback{Server: &Server{}, Label: "dying"}}
+		dying := &dyingWorker{inner: &Loopback{Server: &Server{}, Label: "dying"}, dead: make(chan struct{})}
 		dying.left.Store(1)
-		slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "slow"}, delay: 30 * time.Millisecond}
+		// The straggler's first unit is held until a speculative copy
+		// beats it or its only peer has died.
+		slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "slow"}, release: dying.dead}
 		s := New(c, dying, slow)
 		s.ShipBlocks = ship
 		s.SpeculateAfter = 60 * time.Millisecond

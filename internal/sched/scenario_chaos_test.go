@@ -6,6 +6,7 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,32 +18,47 @@ import (
 )
 
 // chaosKilledWorker fails every evaluation after its budget — a worker
-// killed mid-run (budget 1) or dead on arrival (budget 0).
+// killed mid-run (budget 1) or dead on arrival (budget 0). A non-nil
+// dead closes at the first refused call.
 type chaosKilledWorker struct {
 	inner sched.Worker
 	left  atomic.Int64
+	dead  chan struct{}
+	once  sync.Once
 }
 
 func (w *chaosKilledWorker) Name() string { return w.inner.Name() + "-dying" }
 
 func (w *chaosKilledWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	if w.left.Add(-1) < 0 {
+		if w.dead != nil {
+			w.once.Do(func() { close(w.dead) })
+		}
 		return nil, errors.New("worker killed")
 	}
 	return w.inner.Eval(ctx, req)
 }
 
-// chaosSlowWorker defers every evaluation — the injected straggler the
-// speculation path races against.
+// chaosSlowWorker is the injected straggler the speculation path races
+// against: its first evaluation is held until the scheduler cancels it
+// (a speculative copy won) or release closes. Later evaluations pass
+// straight through.
 type chaosSlowWorker struct {
-	inner sched.Worker
-	delay time.Duration
+	inner   sched.Worker
+	release <-chan struct{}
+	held    atomic.Bool
 }
 
 func (w *chaosSlowWorker) Name() string { return w.inner.Name() + "-slow" }
 
 func (w *chaosSlowWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
-	time.Sleep(w.delay)
+	if w.held.CompareAndSwap(false, true) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-w.release:
+		}
+	}
 	return w.inner.Eval(ctx, req)
 }
 
@@ -89,9 +105,10 @@ func TestElasticScenarioChaosMatrix(t *testing.T) {
 		golden := analysis.RunAll(s.Dataset(), 1)
 		for _, ship := range []bool{false, true} {
 			c := spillScenario(t, s)
-			dying := &chaosKilledWorker{inner: &sched.Loopback{Server: &sched.Server{}, Label: "dying"}}
+			dying := &chaosKilledWorker{inner: &sched.Loopback{Server: &sched.Server{}, Label: "dying"}, dead: make(chan struct{})}
 			dying.left.Store(1)
-			slow := &chaosSlowWorker{inner: &sched.Loopback{Server: &sched.Server{}, Label: "slow"}, delay: 30 * time.Millisecond}
+			// Held until a speculative copy wins or its peer has died.
+			slow := &chaosSlowWorker{inner: &sched.Loopback{Server: &sched.Server{}, Label: "slow"}, release: dying.dead}
 			sc := sched.New(c, dying, slow)
 			sc.ShipBlocks = ship
 			sc.SpeculateAfter = 60 * time.Millisecond

@@ -113,16 +113,22 @@ func TestRemoteParityHTTP(t *testing.T) {
 }
 
 // dyingWorker serves a limited number of evaluations, then fails every
-// call — a worker killed mid-run.
+// call — a worker killed mid-run. A non-nil dead closes at the first
+// refused call.
 type dyingWorker struct {
 	inner Worker
 	left  atomic.Int64
+	dead  chan struct{}
+	once  sync.Once
 }
 
 func (w *dyingWorker) Name() string { return w.inner.Name() + "-dying" }
 
 func (w *dyingWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	if w.left.Add(-1) < 0 {
+		if w.dead != nil {
+			w.once.Do(func() { close(w.dead) })
+		}
 		return nil, errors.New("worker killed")
 	}
 	return w.inner.Eval(ctx, req)
