@@ -164,7 +164,7 @@ func TestCollectorStreamParity(t *testing.T) {
 func TestCollectorStreamPrimaryFailure(t *testing.T) {
 	labeler := events.NewSequencer(0, 0)
 	if _, err := labeler.Emit(func(s int64) any {
-		e := core.LabelsEvent([]core.Label{{Src: "did:plc:l", URI: "did:plc:u", Val: "x"}})
+		e := core.LabelBlockEvent([]core.Label{{Src: "did:plc:l", URI: "did:plc:u", Val: "x"}})
 		e.Seq = s
 		return e
 	}); err != nil {

@@ -45,8 +45,13 @@ import (
 )
 
 // Marshal encodes v as deterministic DAG-CBOR.
-func Marshal(v any) ([]byte, error) {
-	e := &encoder{}
+func Marshal(v any) ([]byte, error) { return AppendMarshal(nil, v) }
+
+// AppendMarshal appends the DAG-CBOR encoding of v to dst and returns
+// the extended slice, so a caller that knows the size can encode
+// several documents into one buffer. On error it returns nil.
+func AppendMarshal(dst []byte, v any) ([]byte, error) {
+	e := encoder{buf: dst}
 	if err := e.encode(v); err != nil {
 		return nil, err
 	}

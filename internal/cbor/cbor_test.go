@@ -125,22 +125,34 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestCIDLink(t *testing.T) {
-	c := cid.SumCBOR([]byte("block"))
-	data, err := Marshal(map[string]any{"link": c})
+	// A codec of 0x3fff takes a two-byte varint, so the binary CID is
+	// one byte longer than the usual 36.
+	wide, err := cid.Decode(append([]byte{0x01, 0xff, 0x7f, 0x12, 0x20}, make([]byte, 32)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.(map[string]any)
-	got, ok := m["link"].(cid.CID)
-	if !ok {
-		t.Fatalf("link decoded as %T, want cid.CID", m["link"])
-	}
-	if !got.Equal(c) {
-		t.Fatalf("CID mismatch: %s vs %s", got, c)
+	for _, c := range []cid.CID{cid.SumCBOR([]byte("block")), wide} {
+		data, err := Marshal(map[string]any{"link": c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := c.Bytes()
+		want := append([]byte{0xa1, 0x64, 'l', 'i', 'n', 'k', 0xd8, 42, 0x58, byte(len(raw) + 1), 0x00}, raw...)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("CID link encodes as %x, want %x", data, want)
+		}
+		out, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := out.(map[string]any)
+		got, ok := m["link"].(cid.CID)
+		if !ok {
+			t.Fatalf("link decoded as %T, want cid.CID", m["link"])
+		}
+		if !got.Equal(c) {
+			t.Fatalf("CID mismatch: %s vs %s", got, c)
+		}
 	}
 }
 

@@ -328,7 +328,9 @@ func (d *decoder) decodeInto(dst reflect.Value) error {
 			if err != nil {
 				return err
 			}
-			dst.SetBytes(append(make([]byte, 0, len(b)), b...))
+			out := make([]byte, len(b)) // make+copy skips zeroing out
+			copy(out, b)
+			dst.SetBytes(out)
 			return nil
 		}
 		if major == majorArray {

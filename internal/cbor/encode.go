@@ -74,10 +74,13 @@ func (e *encoder) encodeCID(c cid.CID) error {
 		return fmt.Errorf("cbor: cannot encode undefined CID")
 	}
 	e.head(majorTag, cidLinkTag)
-	raw := c.Bytes()
-	e.head(majorBytes, uint64(len(raw)+1))
-	e.buf = append(e.buf, 0x00) // identity multibase prefix
-	e.buf = append(e.buf, raw...)
+	// A binary CID is 36 to 45 bytes, so with its multibase prefix the
+	// minimal length head is always the one-byte form; write it with a
+	// placeholder and patch it once the CID is appended in place.
+	at := len(e.buf)
+	e.buf = append(e.buf, majorBytes<<5|24, 0, 0x00) // head, identity multibase prefix
+	e.buf = c.AppendBytes(e.buf)
+	e.buf[at+1] = byte(len(e.buf) - at - 2)
 	return nil
 }
 

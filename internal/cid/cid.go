@@ -73,13 +73,20 @@ func (c CID) Bytes() []byte {
 	if !c.set {
 		return nil
 	}
-	buf := make([]byte, 0, 4+2+sha256Length)
-	buf = appendUvarint(buf, cidVersion1)
-	buf = appendUvarint(buf, uint64(c.codec))
-	buf = appendUvarint(buf, mhSHA256)
-	buf = appendUvarint(buf, sha256Length)
-	buf = append(buf, c.hash[:]...)
-	return buf
+	return c.AppendBytes(make([]byte, 0, 4+2+sha256Length))
+}
+
+// AppendBytes appends the binary form to dst and returns the extended
+// slice; an undefined CID appends nothing.
+func (c CID) AppendBytes(dst []byte) []byte {
+	if !c.set {
+		return dst
+	}
+	dst = appendUvarint(dst, cidVersion1)
+	dst = appendUvarint(dst, uint64(c.codec))
+	dst = appendUvarint(dst, mhSHA256)
+	dst = appendUvarint(dst, sha256Length)
+	return append(dst, c.hash[:]...)
 }
 
 // String returns the canonical text form: multibase base32-lower.

@@ -1,6 +1,7 @@
 package cid
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,18 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(tc); err == nil {
 			t.Errorf("Parse(%q): expected error", tc)
 		}
+	}
+}
+
+func TestAppendBytes(t *testing.T) {
+	c := SumCBOR([]byte("append"))
+	prefix := []byte{0xaa, 0xbb}
+	got := c.AppendBytes(prefix[:2:2])
+	if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], c.Bytes()) {
+		t.Fatalf("AppendBytes = %x, want %x then %x", got, prefix, c.Bytes())
+	}
+	if got := (CID{}).AppendBytes(prefix); !bytes.Equal(got, prefix) {
+		t.Fatalf("undefined CID appended %x", got[len(prefix):])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -74,6 +75,7 @@ type DictBlock struct {
 
 // colEnc accumulates the column body and the string dictionary.
 type colEnc struct {
+	head []byte // scratch for the tag and dictionary
 	body []byte
 	ids  map[string]uint64
 	dict []string
@@ -141,10 +143,18 @@ func (e *colEnc) ftimes(n int, at func(int) time.Time) {
 	e.fixed(n, func(i int) int64 { return nsOf(at(i)) })
 }
 
+// colEncs recycles encoder scratch, so a block's dictionary index and
+// column body are not regrown from empty; scratch that an outsized
+// block grew past maxPooledScratch is dropped.
+var colEncs = sync.Pool{New: func() any { return &colEnc{ids: make(map[string]uint64, 64)} }}
+
+const maxPooledScratch = 4 << 20
+
 // encodeColumnar encodes b as a tagged columnar payload — the bytes a
-// disk frame, #sim.block event, or MarshalBlock carries.
+// disk frame, #sim.block event, or MarshalBlock carries. The payload is
+// one fresh slice that shares nothing with the pooled scratch.
 func encodeColumnar(b *RecordBlock) []byte {
-	e := &colEnc{ids: make(map[string]uint64, 64)}
+	e := colEncs.Get().(*colEnc)
 	e.header(b.Header)
 	e.labelers(b.Labelers)
 	e.users(b.Users)
@@ -155,27 +165,33 @@ func encodeColumnar(b *RecordBlock) []byte {
 	e.domains(b.Domains)
 	e.handleUpdates(b.HandleUpdates)
 
-	dictBytes := 0
-	for _, s := range e.dict {
-		dictBytes += binary.MaxVarintLen64 + len(s)
-	}
-	out := make([]byte, 0, 1+2*binary.MaxVarintLen64+dictBytes+len(e.body))
-	out = append(out, blockCodecColumnar)
-	out = binary.AppendUvarint(out, uint64(len(e.dict)))
+	head := append(e.head[:0], blockCodecColumnar) // tag and dictionary
+	head = binary.AppendUvarint(head, uint64(len(e.dict)))
 	if len(e.dict) > 0 {
 		total := 0
 		for _, s := range e.dict {
 			total += len(s)
 		}
-		out = binary.AppendUvarint(out, uint64(total))
+		head = binary.AppendUvarint(head, uint64(total))
 		for _, s := range e.dict {
-			out = binary.AppendUvarint(out, uint64(len(s)))
+			head = binary.AppendUvarint(head, uint64(len(s)))
 		}
 		for _, s := range e.dict {
-			out = append(out, s...)
+			head = append(head, s...)
 		}
 	}
-	return append(out, e.body...)
+	// Appending to head capped at its length allocates the payload
+	// without zeroing the bytes the copy overwrites, as make would. The
+	// body is never empty (it holds at least the header flag and each
+	// collection's count), so the append always allocates.
+	out := append(head[:len(head):len(head)], e.body...)
+	if cap(head)+cap(e.body) <= maxPooledScratch {
+		clear(e.ids)
+		clear(e.dict) // drop the record strings it references
+		e.head, e.body, e.dict = head[:0], e.body[:0], e.dict[:0]
+		colEncs.Put(e)
+	}
+	return out
 }
 
 func (e *colEnc) header(h *StreamHeader) {

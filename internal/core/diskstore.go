@@ -28,8 +28,8 @@ import (
 //	part-00001.cbor ...
 //
 // A block file is a stream of framed record blocks carrying labels
-// inline — on the live wire labels travel on labeler-stream frames,
-// but a disk partition is self-contained:
+// inline — on the stream labels travel in blocks of their own on the
+// labeler stream, but a disk partition is self-contained:
 //
 //	"BSKYPART"  8-byte magic
 //	uint32      format version (big-endian), always DiskFormatVersion

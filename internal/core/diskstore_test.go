@@ -19,7 +19,7 @@ import (
 
 // diskTestDataset builds a small hand-rolled dataset covering every
 // collection and every field class the wire codec carries (times, maps,
-// negative-able ints, bools, label sim-extensions).
+// negative-able ints, bools, label reaction-time joins).
 func diskTestDataset() *Dataset {
 	t0 := time.Date(2024, 3, 10, 12, 30, 0, 0, time.UTC)
 	return &Dataset{

@@ -80,18 +80,28 @@ func timeOf(ns int64) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
+// The kinds of #sim.block frame: a block or labels frame's body is a
+// v3 column block, the bytes a disk-store frame holds.
 const (
-	simKindBlock = "block"
-	simKindEOF   = "eof"
+	simKindBlock  = "block"
+	simKindLabels = "labels"
+	simKindEOF    = "eof"
 )
 
-// BlockEvent encodes a RecordBlock (labels excluded — see LabelsEvent)
-// as a #sim.block event. The sequencer assigns Seq at emit time.
+// BlockEvent encodes a RecordBlock (labels excluded — see
+// LabelBlockEvent) as a block frame. The sequencer assigns Seq at emit
+// time.
 func BlockEvent(b *RecordBlock) (*events.Sim, error) {
 	if len(b.Labels) > 0 {
 		return nil, fmt.Errorf("core: labels travel on labeler stream frames, not sim blocks")
 	}
 	return &events.Sim{Kind: simKindBlock, Body: MarshalBlock(b)}, nil
+}
+
+// LabelBlockEvent encodes one chunk of labels as the labels frame a
+// replay emits on the labeler stream, every Label field lossless.
+func LabelBlockEvent(ls []Label) *events.Sim {
+	return &events.Sim{Kind: simKindLabels, Body: MarshalBlock(&RecordBlock{Labels: ls})}
 }
 
 // MarshalBlock encodes a RecordBlock to its canonical wire bytes — the
@@ -142,41 +152,16 @@ func UnmarshalBlockDict(data []byte, wantDict bool) (*RecordBlock, *DictBlock, e
 // last record frame.
 func EOFEvent() *events.Sim { return &events.Sim{Kind: simKindEOF} }
 
-// LabelsEvent encodes one batch of labels as a labeler-stream frame,
-// carrying the sim-extension fields for lossless replay.
-func LabelsEvent(ls []Label) *events.Labels {
-	out := &events.Labels{Labels: make([]events.Label, 0, len(ls))}
-	for _, l := range ls {
-		out.Labels = append(out.Labels, events.Label{
-			Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg,
-			CTS:        events.FormatTime(l.Applied),
-			SimApplied: nsOf(l.Applied),
-			SimSubject: nsOf(l.SubjectCreated),
-			SimFresh:   l.FreshSubject,
-			SimKind:    string(l.Kind),
-		})
-	}
-	return out
-}
-
-// labelFromWire reconstructs a core label from its stream frame,
-// preferring the lossless sim-extension fields and falling back to
-// what a live collector can derive (CTS, URI-shape subject kind).
+// labelFromWire maps a live labeler's #labels frame entry to a core
+// label: what a live collector can derive (CTS, URI-shape subject
+// kind). Replayed labels travel as labels frames instead.
 func labelFromWire(l *events.Label) Label {
-	out := Label{Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg}
-	if l.SimApplied != 0 {
-		out.Applied = timeOf(l.SimApplied)
-	} else if t, err := events.ParseTime(l.CTS); err == nil {
+	out := Label{Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg, Kind: SubjectAccount}
+	if t, err := events.ParseTime(l.CTS); err == nil {
 		out.Applied = t
 	}
-	out.SubjectCreated = timeOf(l.SimSubject)
-	out.FreshSubject = l.SimFresh
-	if l.SimKind != "" {
-		out.Kind = SubjectKind(l.SimKind)
-	} else if len(l.URI) > 5 && l.URI[:5] == "at://" {
+	if len(l.URI) > 5 && l.URI[:5] == "at://" {
 		out.Kind = SubjectPost
-	} else {
-		out.Kind = SubjectAccount
 	}
 	return out
 }
@@ -185,27 +170,31 @@ func labelFromWire(l *events.Label) Label {
 // It returns eof=true on the replay end-of-stream marker; events that
 // carry no records (info frames, commit payloads) yield a block with
 // only Events counts set, and block=nil means "nothing to ingest".
+//
+// What a frame may carry is checked per kind, since a replay may
+// multiplex both streams onto one: labels travel only in labels frames,
+// behind the enumerate-before-consume gate (inline labels would bypass
+// it and the per-partition label bases), and labels frames carry
+// nothing else.
 func DecodeStreamEvent(ev any) (block *RecordBlock, eof bool, err error) {
 	switch e := ev.(type) {
 	case *events.Sim:
-		if e.Kind == simKindEOF {
+		switch e.Kind {
+		case simKindEOF:
 			return nil, true, nil
-		}
-		if e.Kind != simKindBlock {
+		case simKindBlock, simKindLabels:
+		default:
 			return nil, false, fmt.Errorf("core: unknown sim frame kind %q", e.Kind)
 		}
 		b, err := UnmarshalBlock(e.Body)
 		if err != nil {
-			return nil, false, fmt.Errorf("core: decode sim block: %w", err)
+			return nil, false, fmt.Errorf("core: decode sim %s frame: %w", e.Kind, err)
 		}
-		if len(b.Labels) > 0 {
-			// Mirror BlockEvent's sender-side rule structurally: on the
-			// live wire labels travel only on labeler stream frames,
-			// behind the enumerate-before-consume gate. Inline labels
-			// are a disk-store affordance (PartitionReader.Next), never
-			// a stream one — a frame carrying them would bypass the
-			// gate and the per-partition label bases.
+		if e.Kind == simKindBlock && len(b.Labels) > 0 {
 			return nil, false, fmt.Errorf("core: sim block carries inline labels; labels travel on labeler stream frames")
+		}
+		if e.Kind == simKindLabels && (b.Header != nil || len(b.Labelers) > 0 || b.Len() != len(b.Labels)) {
+			return nil, false, fmt.Errorf("core: sim labels frame carries records other than labels")
 		}
 		return b, false, nil
 	case *events.Labels:

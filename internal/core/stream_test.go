@@ -108,8 +108,10 @@ func TestBlockEventRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLabelsEventRoundTrip pins the label-stream codec, in particular
-// the sim-extension fields carrying nanosecond reaction-time joins.
+// TestLabelsEventRoundTrip pins the label-stream codec: every Label
+// field — nanosecond Applied/SubjectCreated joins, zero times, the
+// fresh-subject flag and every subject kind — survives a labels frame
+// through events.Encode → events.Decode → DecodeStreamEvent exactly.
 func TestLabelsEventRoundTrip(t *testing.T) {
 	in := []Label{{
 		Src: "did:plc:labeler0", URI: "at://did:plc:u0/app.bsky.feed.post/1",
@@ -121,8 +123,17 @@ func TestLabelsEventRoundTrip(t *testing.T) {
 		Src: "did:plc:other", URI: "did:plc:u1", Val: "spam", Neg: true,
 		Kind: SubjectAccount, Applied: ts("2024-04-02T00:00:00Z"),
 		SubjectCreated: ts("2024-03-01T00:00:00Z"),
+	}, {
+		Src: "did:plc:labeler0", URI: "at://did:plc:u2/app.bsky.actor.profile/self",
+		Val: "nudity", Kind: SubjectMedia, Applied: ts("2024-04-03T00:00:00.000000001Z"),
+		FreshSubject: true, // SubjectCreated left zero
+	}, {
+		Src: "did:plc:other", URI: "at://did:plc:u3/app.bsky.graph.list/l", Val: "!hide",
+		Kind: SubjectOther, // Applied and SubjectCreated left zero
+	}, {
+		Src: "did:plc:other", URI: "did:plc:u4", Val: "", // no kind at all
 	}}
-	frame, err := events.Encode(LabelsEvent(in))
+	frame, err := events.Encode(LabelBlockEvent(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +145,11 @@ func TestLabelsEventRoundTrip(t *testing.T) {
 	if err != nil || eof {
 		t.Fatalf("decode: err=%v eof=%v", err, eof)
 	}
-	if len(out.Labels) != 2 {
-		t.Fatalf("labels = %d", len(out.Labels))
+	if out.Header != nil || len(out.Labelers) != 0 || out.Len() != len(in) || len(out.Labels) != len(in) {
+		t.Fatalf("labels frame decoded to %+v", out)
 	}
 	for i := range in {
-		got := out.Labels[i]
-		if got.Src != in[i].Src || got.URI != in[i].URI || got.Val != in[i].Val ||
-			got.Neg != in[i].Neg || got.Kind != in[i].Kind ||
-			!got.Applied.Equal(in[i].Applied) ||
-			!got.SubjectCreated.Equal(in[i].SubjectCreated) ||
-			got.FreshSubject != in[i].FreshSubject {
+		if got := out.Labels[i]; !sameLabel(got, in[i]) {
 			t.Fatalf("label %d diverges:\nin:  %+v\nout: %+v", i, in[i], got)
 		}
 	}
@@ -152,9 +158,43 @@ func TestLabelsEventRoundTrip(t *testing.T) {
 	}
 }
 
+// sameLabel compares every Label field, times by instant and zeroness.
+func sameLabel(a, b Label) bool {
+	return a.Src == b.Src && a.URI == b.URI && a.Val == b.Val && a.Neg == b.Neg &&
+		a.Kind == b.Kind && a.FreshSubject == b.FreshSubject &&
+		a.Applied.Equal(b.Applied) && a.Applied.IsZero() == b.Applied.IsZero() &&
+		a.SubjectCreated.Equal(b.SubjectCreated) && a.SubjectCreated.IsZero() == b.SubjectCreated.IsZero()
+}
+
+// TestLabelsFrameRejectsOtherRecords pins the labels frame's per-kind
+// rule from the receive side: a labels frame may carry labels only, so
+// one smuggling a header, labeler announcements or any other record
+// collection is an error (the block-frame half of the rule is
+// TestSimBlockRejectsInlineLabels).
+func TestLabelsFrameRejectsOtherRecords(t *testing.T) {
+	full := columnarTestBlock()
+	for name, b := range map[string]*RecordBlock{
+		"header":     {Header: full.Header, Labels: full.Labels},
+		"labelers":   {Labelers: full.Labelers, Labels: full.Labels},
+		"users":      {Users: full.Users, Labels: full.Labels},
+		"posts":      {Posts: full.Posts},
+		"everything": full,
+	} {
+		ev := &events.Sim{Kind: simKindLabels, Body: MarshalBlock(b)}
+		if _, _, err := DecodeStreamEvent(ev); err == nil {
+			t.Errorf("labels frame carrying %s accepted", name)
+		}
+	}
+	ev := &events.Sim{Kind: simKindLabels, Body: MarshalBlock(&RecordBlock{Labels: full.Labels})}
+	if _, _, err := DecodeStreamEvent(ev); err != nil {
+		t.Fatalf("labels-only frame rejected: %v", err)
+	}
+}
+
 // TestDecodeStreamEventLiveFrames pins the live-protocol mapping:
-// handle events become HandleUpdate records, other firehose frames
-// only bump the event counters.
+// handle events become HandleUpdate records, live labeler frames keep
+// what their wire form carries (CTS, subject kind from the URI shape),
+// and other firehose frames only bump the event counters.
 func TestDecodeStreamEventLiveFrames(t *testing.T) {
 	b, eof, err := DecodeStreamEvent(&events.Handle{
 		Seq: 1, DID: "did:plc:u0", Handle: "new.example.org", Time: "2024-04-01T00:00:00.000Z",
@@ -169,6 +209,26 @@ func TestDecodeStreamEventLiveFrames(t *testing.T) {
 	b, _, err = DecodeStreamEvent(&events.Commit{Seq: 2})
 	if err != nil || b.Events.Commits != 1 || b.Len() != 0 {
 		t.Fatalf("commit block = %+v err=%v", b, err)
+	}
+	b, eof, err = DecodeStreamEvent(&events.Labels{Seq: 3, Labels: []events.Label{
+		{Src: "did:plc:l", URI: "at://did:plc:u0/app.bsky.feed.post/1", Val: "spam", CTS: "2024-04-01T00:00:00.123Z"},
+		{Src: "did:plc:l", URI: "did:plc:u0", Val: "rude", Neg: true, CTS: "not a time"},
+	}})
+	if err != nil || eof {
+		t.Fatalf("live labels: err=%v eof=%v", err, eof)
+	}
+	want := []Label{
+		{Src: "did:plc:l", URI: "at://did:plc:u0/app.bsky.feed.post/1", Val: "spam", Kind: SubjectPost,
+			Applied: ts("2024-04-01T00:00:00.123Z")},
+		{Src: "did:plc:l", URI: "did:plc:u0", Val: "rude", Neg: true, Kind: SubjectAccount},
+	}
+	if len(b.Labels) != len(want) || b.Len() != len(want) {
+		t.Fatalf("live labels block = %+v", b)
+	}
+	for i := range want {
+		if !sameLabel(b.Labels[i], want[i]) {
+			t.Fatalf("live label %d = %+v, want %+v", i, b.Labels[i], want[i])
+		}
 	}
 	if _, eof, _ := DecodeStreamEvent(EOFEvent()); !eof {
 		t.Fatal("EOF marker not recognized")
@@ -262,16 +322,8 @@ func TestDrainSequencersTrimsBacklog(t *testing.T) {
 // cycle into core tests): header+users on the firehose, labels on the
 // labeler stream, EOF markers on both.
 func replayDataset(ds *Dataset, fire, labeler *events.Sequencer) error {
-	emit := func(seq *events.Sequencer, ev any) error {
-		_, err := seq.Emit(func(s int64) any {
-			switch e := ev.(type) {
-			case *events.Sim:
-				e.Seq = s
-			case *events.Labels:
-				e.Seq = s
-			}
-			return ev
-		})
+	emit := func(seq *events.Sequencer, ev *events.Sim) error {
+		_, err := seq.Emit(func(s int64) any { ev.Seq = s; return ev })
 		return err
 	}
 	hdr, err := BlockEvent(&RecordBlock{Header: &StreamHeader{Scale: ds.Scale}})
@@ -294,7 +346,7 @@ func replayDataset(ds *Dataset, fire, labeler *events.Sequencer) error {
 	}
 	for lo := 0; lo < len(ds.Labels); lo += chunk {
 		hi := min(lo+chunk, len(ds.Labels))
-		if err := emit(labeler, LabelsEvent(ds.Labels[lo:hi])); err != nil {
+		if err := emit(labeler, LabelBlockEvent(ds.Labels[lo:hi])); err != nil {
 			return err
 		}
 	}
@@ -313,7 +365,7 @@ func TestSequencerStreamGate(t *testing.T) {
 	labeler := events.NewSequencer(0, 0)
 	// Labeler backlog filled first.
 	if _, err := labeler.Emit(func(s int64) any {
-		e := LabelsEvent([]Label{{Src: "did:plc:l", URI: "did:plc:u", Val: "x"}})
+		e := LabelBlockEvent([]Label{{Src: "did:plc:l", URI: "did:plc:u", Val: "x"}})
 		e.Seq = s
 		return e
 	}); err != nil {

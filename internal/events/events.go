@@ -75,24 +75,14 @@ type Tombstone struct {
 }
 
 // Label is one moderation label as emitted on a labeler stream:
-// src applies val to uri; neg rescinds a previous application.
-//
-// The sim* fields are a simulator extension: the measurement replay
-// carries the nanosecond timestamps and subject joins that a live
-// collector reconstructs from other datasets (post creation times,
-// subject kinds). Real streams omit them; decoders that don't know
-// them ignore the extra keys.
+// src applies val to uri; neg rescinds a previous application. A
+// replay ships its labels losslessly in Sim frames of kind "labels".
 type Label struct {
 	Src string `cbor:"src"` // labeler DID
 	URI string `cbor:"uri"` // subject: at:// URI or a bare DID
 	Val string `cbor:"val"`
 	Neg bool   `cbor:"neg,omitempty"`
 	CTS string `cbor:"cts"` // creation timestamp
-
-	SimApplied int64  `cbor:"simApplied,omitempty"` // UnixNano of application
-	SimSubject int64  `cbor:"simSubject,omitempty"` // UnixNano of subject creation
-	SimFresh   bool   `cbor:"simFresh,omitempty"`   // subject first seen in-window
-	SimKind    string `cbor:"simKind,omitempty"`    // subject kind (core.SubjectKind)
 }
 
 // Labels is a labeler stream frame carrying one or more labels.
@@ -107,11 +97,11 @@ type Info struct {
 	Message string `cbor:"message,omitempty"`
 }
 
-// Sim is a simulator extension frame: an opaque CBOR body under a kind
-// discriminator. The dataset replay uses it to stream measurement
-// records (users, posts, daily activity, …) that the live protocol
-// delivers out of band, plus its end-of-stream marker; see
-// core.BlockEvent / core.DecodeStreamEvent for the body codec.
+// Sim is a simulator extension frame: an opaque body under a kind
+// discriminator. The dataset replay streams the records the live
+// protocol delivers out of band as column blocks — kind "block" on the
+// firehose, kind "labels" on labeler streams — and ends each stream
+// with kind "eof"; see core.DecodeStreamEvent for the body codec.
 type Sim struct {
 	Seq  int64  `cbor:"seq"`
 	Kind string `cbor:"kind"`
@@ -158,21 +148,22 @@ func TypeOf(ev any) (string, error) {
 	return "", fmt.Errorf("events: unknown event type %T", ev)
 }
 
-// Encode renders an event as a binary frame (header ‖ body).
+// Encode renders an event as a binary frame (header ‖ body), written
+// into one buffer sized up front for a Sim frame's body.
 func Encode(ev any) ([]byte, error) {
 	t, err := TypeOf(ev)
 	if err != nil {
 		return nil, err
 	}
-	hdr, err := cbor.Marshal(header{Op: 1, T: t})
+	size := 64 // header and every field but a Sim body
+	if s, ok := ev.(*Sim); ok {
+		size += len(s.Body)
+	}
+	frame, err := cbor.AppendMarshal(make([]byte, 0, size), header{Op: 1, T: t})
 	if err != nil {
 		return nil, err
 	}
-	body, err := cbor.Marshal(ev)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, body...), nil
+	return cbor.AppendMarshal(frame, ev)
 }
 
 // Decode parses a binary frame into its typed event.

@@ -35,11 +35,11 @@ type ReplayHooks struct {
 // Replay plays a generated dataset through event sequencers the way
 // the live network delivers it: the corpus header, the labeler
 // population, and the non-label record collections go to the firehose
-// sequencer as #sim.block frames; labels go to the labeler sequencer
-// as labeler-stream frames (with the sim-extension fields that make
-// the round trip lossless). Both streams end with an end-of-stream
-// marker. labeler may equal fire to multiplex everything onto one
-// stream.
+// sequencer as #sim.block frames of kind "block"; labels go to the
+// labeler sequencer as frames of kind "labels". Both carry v3 column
+// blocks, so the round trip is lossless. Both streams end with an
+// end-of-stream marker. labeler may equal fire to multiplex everything
+// onto one stream.
 //
 // Each collection is emitted in dataset order, so a streaming consumer
 // reconstructs exactly the state of a one-worker batch traversal —
@@ -74,14 +74,9 @@ func ReplayWithHooks(ds *core.Dataset, fire, labeler *events.Sequencer, h Replay
 	if blockSize <= 0 {
 		blockSize = ReplayBlockSize
 	}
-	emitTo := func(seq *events.Sequencer, stream int, ev any) error {
+	emitTo := func(seq *events.Sequencer, stream int, ev *events.Sim) error {
 		s, err := seq.Emit(func(s int64) any {
-			switch e := ev.(type) {
-			case *events.Sim:
-				e.Seq = s
-			case *events.Labels:
-				e.Seq = s
-			}
+			ev.Seq = s
 			return ev
 		})
 		if err == nil && h.OnEmit != nil {
@@ -89,7 +84,7 @@ func ReplayWithHooks(ds *core.Dataset, fire, labeler *events.Sequencer, h Replay
 		}
 		return err
 	}
-	emit := func(seq *events.Sequencer, ev any) error {
+	emit := func(seq *events.Sequencer, ev *events.Sim) error {
 		stream := StreamFirehose
 		if seq == labeler && labeler != fire {
 			stream = StreamLabeler
@@ -157,7 +152,7 @@ func ReplayWithHooks(ds *core.Dataset, fire, labeler *events.Sequencer, h Replay
 	}
 	for lo := 0; lo < len(ds.Labels); lo += blockSize {
 		hi := min(lo+blockSize, len(ds.Labels))
-		if err := emit(labeler, core.LabelsEvent(ds.Labels[lo:hi])); err != nil {
+		if err := emit(labeler, core.LabelBlockEvent(ds.Labels[lo:hi])); err != nil {
 			return err
 		}
 	}
