@@ -374,7 +374,9 @@ func runCorpus(dir string, plan bool, workers int, workersAt string, opts schedO
 		}
 		s := sched.New(c, pool...)
 		s.ShipBlocks = opts.shipBlocks
-		s.NoSpeculate = opts.noSpeculate
+		if opts.noSpeculate {
+			s.SpeculateAfter = -1
+		}
 		s.SplitFactor = opts.splitFactor
 		reports, err = s.RunAll(workers)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"blueskies/internal/core"
+	"blueskies/internal/crawl"
 )
 
 func main() {
@@ -22,7 +22,7 @@ func main() {
 		log.Fatal("-relay is required")
 	}
 
-	col := &core.Collector{RelayURL: *relayURL, PLCURL: *plcURL, AppViewURL: *appviewURL}
+	col := &crawl.Collector{RelayURL: *relayURL, PLCURL: *plcURL, AppViewURL: *appviewURL}
 	ctx := context.Background()
 
 	ids, err := col.ListIdentifiers(ctx)

@@ -8,7 +8,7 @@ import (
 )
 
 // StreamSource feeds the engine's accumulators from a live record
-// stream — the Collector's multiplexed firehose/labeler subscriptions
+// stream — crawl.Collector's multiplexed firehose/labeler subscriptions
 // or a replayed sequencer backlog — instead of a materialized dataset.
 // Only the accumulator state, the append-only intern tables, and the
 // World's scalar facts are retained; record blocks are dropped as soon

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blueskies/internal/core"
+	"blueskies/internal/crawl"
 	"blueskies/internal/events"
 	"blueskies/internal/pds"
 	"blueskies/internal/synth"
@@ -135,7 +136,7 @@ func TestCollectorStreamParity(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	col := &core.Collector{RelayURL: srv.URL, LabelerURLs: []string{srv.URL}}
+	col := &crawl.Collector{RelayURL: srv.URL, LabelerURLs: []string{srv.URL}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blocks, errs := col.Stream(ctx)
@@ -177,7 +178,7 @@ func TestCollectorStreamPrimaryFailure(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	col := &core.Collector{RelayURL: "http://127.0.0.1:1", LabelerURLs: []string{srv.URL}}
+	col := &crawl.Collector{RelayURL: "http://127.0.0.1:1", LabelerURLs: []string{srv.URL}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blocks, errs := col.Stream(ctx)

@@ -27,10 +27,10 @@
 //	               back without ever materializing a partition
 //	               (diskstore.go, format spec in DESIGN.md §8, §11)
 //
-// Two producers fill the model: the live Collector crawls a running
-// deployment exactly the way the paper's crawler did (listRepos → DID
-// docs → getRepo CARs → firehose → labeler streams → feed crawls →
-// DNS/WHOIS actives), and internal/synth emits the model directly at
+// Two producers fill the model: internal/crawl's Collector crawls a
+// running deployment exactly the way the paper's crawler did
+// (listRepos → DID docs → getRepo CARs → firehose → labeler streams →
+// feed crawls → DNS/WHOIS actives), and internal/synth emits the model directly at
 // scale with distributions calibrated to the paper. Two consumers
 // drain it: internal/analysis evaluates any mix of materialized,
 // streamed, and disk-backed partitions through one engine, and the

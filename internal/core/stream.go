@@ -223,28 +223,31 @@ func DecodeStreamEvent(ev any) (block *RecordBlock, eof bool, err error) {
 	return nil, false, fmt.Errorf("core: unexpected stream event %T", ev)
 }
 
-// streamGate delays secondary stream consumers until the primary
+// StreamGate delays secondary stream consumers until the primary
 // stream has delivered its first block — the "enumerate labelers
 // before consuming their streams" ordering of the paper's methodology,
 // applied to multiplexed subscriptions. A primary that ends without
 // ever delivering a block aborts the gate so secondaries shut down
-// instead of consuming labels nobody announced.
-type streamGate struct {
+// instead of consuming labels nobody announced. SequencerStream and
+// the live crawler's stream share it.
+type StreamGate struct {
 	ch   chan struct{}
 	once sync.Once
 	ok   bool
 }
 
-func newStreamGate() *streamGate { return &streamGate{ch: make(chan struct{})} }
+// NewStreamGate returns a closed gate.
+func NewStreamGate() *StreamGate { return &StreamGate{ch: make(chan struct{})} }
 
-func (g *streamGate) open() { g.once.Do(func() { g.ok = true; close(g.ch) }) }
+// Open lets every waiter through; a no-op once aborted.
+func (g *StreamGate) Open() { g.once.Do(func() { g.ok = true; close(g.ch) }) }
 
-// abort releases waiters with ok=false; a no-op once opened.
-func (g *streamGate) abort() { g.once.Do(func() { close(g.ch) }) }
+// Abort releases waiters with ok=false; a no-op once opened.
+func (g *StreamGate) Abort() { g.once.Do(func() { close(g.ch) }) }
 
-// wait blocks until the gate opens; false means the primary aborted or
+// Wait blocks until the gate opens; false means the primary aborted or
 // ctx ended first.
-func (g *streamGate) wait(ctx context.Context) bool {
+func (g *StreamGate) Wait(ctx context.Context) bool {
 	select {
 	case <-g.ch:
 		return g.ok
@@ -255,7 +258,7 @@ func (g *streamGate) wait(ctx context.Context) bool {
 
 // SequencerStream taps in-process sequencers directly and multiplexes
 // their decoded record blocks into one channel — the zero-transport
-// version of Collector.Stream used by replay tests and bskyanalyze
+// version of crawl.Collector.Stream used by replay tests and bskyanalyze
 // -follow. The first sequencer is the primary (the firehose): the
 // others are only tapped after its first block is delivered, so a
 // replay's corpus header precedes every label that references an
@@ -292,7 +295,7 @@ func sequencerStream(ctx context.Context, drain bool, seqs []*events.Sequencer) 
 func sequencerStreamFaulted(ctx context.Context, drain bool, fs *FaultSchedule, seqs []*events.Sequencer) (<-chan RecordBlock, <-chan error) {
 	out := make(chan RecordBlock, 8)
 	errs := make(chan error, len(seqs))
-	gate := newStreamGate()
+	gate := NewStreamGate()
 	var wg sync.WaitGroup
 	for i, seq := range seqs {
 		wg.Add(1)
@@ -303,16 +306,16 @@ func sequencerStreamFaulted(ctx context.Context, drain bool, fs *FaultSchedule, 
 		go func(seq *events.Sequencer, primary bool, faults *streamFaults) {
 			defer wg.Done()
 			if primary {
-				defer gate.abort()
+				defer gate.Abort()
 			} else {
-				if !gate.wait(ctx) {
+				if !gate.Wait(ctx) {
 					return
 				}
 			}
 			var lastSeq int64
 			onForward := func() {
 				if primary {
-					gate.open()
+					gate.Open()
 				}
 			}
 			if err := consumeSequencer(ctx, seq, drain, &lastSeq, out, onForward, faults); err != nil {

@@ -1,4 +1,6 @@
-package core
+// Package crawl runs the paper's data-collection methodology against a
+// live deployment and turns what it collects into the core data model.
+package crawl
 
 import (
 	"bytes"
@@ -12,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"blueskies/internal/core"
 	"blueskies/internal/dnssim"
 	"blueskies/internal/events"
 	"blueskies/internal/identity"
@@ -92,16 +95,16 @@ func (c *Collector) FetchRepo(ctx context.Context, did identity.DID) (*repo.Repo
 
 // CollectFirehose subscribes to the firehose and counts event types
 // until n events arrive or the timeout elapses.
-func (c *Collector) CollectFirehose(n int, timeout time.Duration) (EventCounts, error) {
+func (c *Collector) CollectFirehose(n int, timeout time.Duration) (core.EventCounts, error) {
 	sub, err := events.Subscribe(c.RelayURL, "com.atproto.sync.subscribeRepos", 0)
 	if err != nil {
-		return EventCounts{}, err
+		return core.EventCounts{}, err
 	}
 	defer sub.Close()
-	var counts EventCounts
-	deadline := time.Now().Add(timeout)                     //lint:walltime live-network collection deadline, not corpus bytes
-	for i := 0; i < n && time.Now().Before(deadline); i++ { //lint:walltime live-network collection deadline, not corpus bytes
-		ev, err := sub.NextTimeout(time.Until(deadline)) //lint:walltime live-network collection deadline, not corpus bytes
+	var counts core.EventCounts
+	deadline := time.Now().Add(timeout)
+	for i := 0; i < n && time.Now().Before(deadline); i++ {
+		ev, err := sub.NextTimeout(time.Until(deadline))
 		if err != nil {
 			break
 		}
@@ -123,7 +126,7 @@ func (c *Collector) CollectFirehose(n int, timeout time.Duration) (EventCounts, 
 // backfill) until expected labels arrive or the timeout elapses.
 func (c *Collector) CollectLabels(expected int, timeout time.Duration) ([]events.Label, error) {
 	var out []events.Label
-	deadline := time.Now().Add(timeout) //lint:walltime live-network collection deadline, not corpus bytes
+	deadline := time.Now().Add(timeout)
 	for _, endpoint := range c.LabelerURLs {
 		sub, err := events.Subscribe(endpoint, "com.atproto.label.subscribeLabels", 0)
 		if err != nil {
@@ -131,7 +134,7 @@ func (c *Collector) CollectLabels(expected int, timeout time.Duration) ([]events
 			// unreachable labeler is data, not an error.
 			continue
 		}
-		for len(out) < expected && time.Now().Before(deadline) { //lint:walltime live-network collection deadline, not corpus bytes
+		for len(out) < expected && time.Now().Before(deadline) {
 			ev, err := sub.NextTimeout(200 * time.Millisecond)
 			if err != nil {
 				break
@@ -160,10 +163,10 @@ func (c *Collector) CollectLabels(expected int, timeout time.Duration) ([]events
 // their stream order; collections from different subscriptions
 // interleave arbitrarily, which the analysis accumulators tolerate by
 // design.
-func (c *Collector) Stream(ctx context.Context) (<-chan RecordBlock, <-chan error) {
-	out := make(chan RecordBlock, 8)
+func (c *Collector) Stream(ctx context.Context) (<-chan core.RecordBlock, <-chan error) {
+	out := make(chan core.RecordBlock, 8)
 	errs := make(chan error, 1+len(c.LabelerURLs))
-	gate := newStreamGate()
+	gate := core.NewStreamGate()
 	var wg sync.WaitGroup
 	consume := func(base, nsid string, primary bool) {
 		defer wg.Done()
@@ -171,9 +174,9 @@ func (c *Collector) Stream(ctx context.Context) (<-chan RecordBlock, <-chan erro
 			// Abort (not open) on a primary that never delivers: the
 			// labeler consumers must not run on a stream whose labelers
 			// were never enumerated.
-			defer gate.abort()
+			defer gate.Abort()
 		} else {
-			if !gate.wait(ctx) {
+			if !gate.Wait(ctx) {
 				return
 			}
 		}
@@ -206,12 +209,12 @@ func (c *Collector) Stream(ctx context.Context) (<-chan RecordBlock, <-chan erro
 					continue
 				}
 				if lastSeq > 0 && s > lastSeq+1 {
-					errs <- fmt.Errorf("core: %s stream lost %d frames (seq %d → %d)", nsid, s-lastSeq-1, lastSeq, s)
+					errs <- fmt.Errorf("crawl: %s stream lost %d frames (seq %d → %d)", nsid, s-lastSeq-1, lastSeq, s)
 					return
 				}
 				lastSeq = s
 			}
-			block, eof, err := DecodeStreamEvent(ev)
+			block, eof, err := core.DecodeStreamEvent(ev)
 			if err != nil {
 				errs <- err
 				return
@@ -225,7 +228,7 @@ func (c *Collector) Stream(ctx context.Context) (<-chan RecordBlock, <-chan erro
 			select {
 			case out <- *block:
 				if primary {
-					gate.open()
+					gate.Open()
 				}
 			case <-ctx.Done():
 				return
@@ -295,13 +298,13 @@ func (c *Collector) CrawlFeedGenerator(ctx context.Context, feedURI string) (Fee
 
 // VerifyHandle actively verifies handle ownership: DNS TXT first, then
 // the well-known HTTPS file, returning the proof method that worked.
-func (c *Collector) VerifyHandle(handle identity.Handle, did identity.DID, wellKnownBase string) (ProofMethod, error) {
+func (c *Collector) VerifyHandle(handle identity.Handle, did identity.DID, wellKnownBase string) (core.ProofMethod, error) {
 	res := dnssim.NewResolver(c.DNSAddr)
 	vals, err := res.LookupTXT(handle.TXTRecordName())
 	if err == nil {
 		for _, v := range vals {
 			if strings.TrimPrefix(v, "did=") == string(did) {
-				return ProofDNSTXT, nil
+				return core.ProofDNSTXT, nil
 			}
 		}
 	}
@@ -312,11 +315,11 @@ func (c *Collector) VerifyHandle(handle identity.Handle, did identity.DID, wellK
 			buf := make([]byte, 256)
 			n, _ := resp.Body.Read(buf)
 			if strings.TrimSpace(string(buf[:n])) == string(did) {
-				return ProofWellKnown, nil
+				return core.ProofWellKnown, nil
 			}
 		}
 	}
-	return "", fmt.Errorf("core: no ownership proof for %s", handle)
+	return "", fmt.Errorf("crawl: no ownership proof for %s", handle)
 }
 
 // ScanWHOIS looks up each registered domain.
@@ -334,16 +337,16 @@ func (c *Collector) ScanWHOIS(domains []string) ([]whois.Record, error) {
 }
 
 // Snapshot runs the full pipeline against a live network and builds a
-// Dataset: the live-protocol reproduction mode.
-func (c *Collector) Snapshot(ctx context.Context, window time.Duration) (*Dataset, error) {
-	ds := &Dataset{Scale: 1, WindowStart: time.Now().Add(-window), WindowEnd: time.Now()} //lint:walltime live crawl window: this dataset is a wall-clock snapshot by definition
+// core.Dataset: the live-protocol reproduction mode.
+func (c *Collector) Snapshot(ctx context.Context, window time.Duration) (*core.Dataset, error) {
+	ds := &core.Dataset{Scale: 1, WindowStart: time.Now().Add(-window), WindowEnd: time.Now()}
 	listings, err := c.ListIdentifiers(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for _, listing := range listings {
 		did := identity.DID(listing.DID)
-		u := User{DID: listing.DID, DIDMethod: string(did.Method())}
+		u := core.User{DID: listing.DID, DIDMethod: string(did.Method())}
 		if doc, err := c.FetchDIDDocument(did); err == nil {
 			u.Handle = string(doc.Handle())
 			u.PDS = doc.PDSEndpoint()
@@ -353,7 +356,7 @@ func (c *Collector) Snapshot(ctx context.Context, window time.Duration) (*Datase
 				u.Posts = len(recs)
 				for _, rec := range recs {
 					created, _ := lexicon.CreatedAt(rec.Value)
-					ds.Posts = append(ds.Posts, Post{
+					ds.Posts = append(ds.Posts, core.Post{
 						URI:       rec.URI.String(),
 						AuthorIdx: len(ds.Users),
 						Lang:      firstLang(rec.Value),
@@ -375,12 +378,12 @@ func (c *Collector) Snapshot(ctx context.Context, window time.Duration) (*Datase
 		return nil, err
 	}
 	for _, l := range labels {
-		kind := SubjectAccount
+		kind := core.SubjectAccount
 		if strings.HasPrefix(l.URI, "at://") {
-			kind = SubjectPost
+			kind = core.SubjectPost
 		}
 		applied, _ := events.ParseTime(l.CTS)
-		ds.Labels = append(ds.Labels, Label{
+		ds.Labels = append(ds.Labels, core.Label{
 			Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg, Kind: kind, Applied: applied,
 		})
 	}

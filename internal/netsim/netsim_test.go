@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blueskies/internal/core"
+	"blueskies/internal/crawl"
 	"blueskies/internal/feedgen"
 	"blueskies/internal/identity"
 	"blueskies/internal/lexicon"
@@ -102,7 +103,7 @@ func TestFullNetworkEndToEnd(t *testing.T) {
 	}
 
 	// --- Run the paper's pipeline over the live network. ---
-	col := &core.Collector{
+	col := &crawl.Collector{
 		RelayURL:    net.Relay.URL(),
 		PLCURL:      net.PLC.URL(),
 		AppViewURL:  net.AppView.URL(),
@@ -193,7 +194,7 @@ func TestFullNetworkEndToEnd(t *testing.T) {
 func TestFirehoseEventCounting(t *testing.T) {
 	net, users := startNet(t)
 	alice := users[0]
-	col := &core.Collector{RelayURL: net.Relay.URL()}
+	col := &crawl.Collector{RelayURL: net.Relay.URL()}
 
 	// The three account-creation identity events reach the relay's
 	// firehose first, so the collector's cursor-0 subscription

@@ -44,10 +44,10 @@ import (
 // slotted by unit id and folded in manifest order, never in arrival
 // order.
 //
-// Concurrency/memory bound: one eval (plus at most one prefetch push) is
-// in flight per worker, and local fallback executors are capped at the
-// worker count — so peak resident request bytes stay O(workers ·
-// partition), matching the old slot semantics.
+// Concurrency/memory bound: one eval is in flight per worker, and local
+// fallback executors are capped at the worker count — so peak resident
+// request bytes stay O(workers · partition), matching the old slot
+// semantics.
 
 // DefaultSplitFactor triggers dynamic splitting: a partition whose
 // record total exceeds this multiple of the median partition splits.
@@ -153,9 +153,8 @@ type elasticRun struct {
 
 	cacheSeen []bool            // CacheInfo resolution claimed by a loop
 	cacheDone []bool            // CacheInfo resolution finished (keys seeded)
-	cacheOK   []bool            // worker accepts putBlocks / CacheKey
+	cacheOK   []bool            // worker accepts CacheKey references
 	cached    []map[string]bool // keys known present per worker
-	prefTried []map[string]bool // prefetch keys already attempted
 
 	durN   int
 	durSum time.Duration
@@ -178,11 +177,9 @@ func newElasticRun(s *Scheduler, accs []analysis.Accumulator, workers int) *elas
 		cacheDone: make([]bool, n),
 		cacheOK:   make([]bool, n),
 		cached:    make([]map[string]bool, n),
-		prefTried: make([]map[string]bool, n),
 	}
 	for i := range r.cached {
 		r.cached[i] = make(map[string]bool)
-		r.prefTried[i] = make(map[string]bool)
 	}
 	return r
 }
@@ -661,7 +658,7 @@ func (r *elasticRun) cachedElsewhereLocked(u *unit, wi int) bool {
 // speculation threshold that this worker may duplicate, or how long
 // until the earliest candidate crosses it.
 func (r *elasticRun) specTargetLocked(wi int) (*unit, time.Duration) {
-	if r.s.NoSpeculate || r.s.SpeculateAfter < 0 {
+	if r.s.SpeculateAfter < 0 {
 		return nil, 0
 	}
 	thr := r.s.SpeculateAfter
@@ -698,14 +695,6 @@ func (r *elasticRun) specTargetLocked(wi int) (*unit, time.Duration) {
 
 // ---- executing one unit on one worker ----
 
-// evalWorkers is the traversal worker count requests carry.
-func (r *elasticRun) evalWorkers() int {
-	if r.s.EvalWorkers > 0 {
-		return r.s.EvalWorkers
-	}
-	return r.workers
-}
-
 // baseRequest builds the fields every request for u shares.
 func (r *elasticRun) baseRequest(u *unit) *EvalRequest {
 	return &EvalRequest{
@@ -713,7 +702,7 @@ func (r *elasticRun) baseRequest(u *unit) *EvalRequest {
 		Accs:    analysis.Fingerprint(r.accs),
 		Base:    u.info.Base,
 		Records: &u.info.Records,
-		Workers: r.evalWorkers(),
+		Workers: r.workers,
 		Range:   u.rng,
 	}
 }
@@ -759,8 +748,7 @@ func (r *elasticRun) shipUnitBlocks(u *unit) ([]byte, error) {
 }
 
 // execute runs unit u on worker wi: build the request (cache-aware),
-// evaluate — overlapping a prefetch push of the next queued unit's
-// blocks — re-ship inline on a cache miss, validate, deliver.
+// evaluate, re-ship inline on a cache miss, validate, deliver.
 func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, spec bool) {
 	w := r.s.Workers[wi]
 	// Each attempt gets its own cancelable context: when another runner
@@ -882,23 +870,9 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline b
 	if shipped > 0 {
 		r.s.Stats.ShippedBytes.Add(int64(shipped))
 	}
-	type evalOut struct {
-		state []byte
-		err   error
-	}
-	done := make(chan evalOut, 1)
-	go func() {
-		state, err := w.Eval(ctx, body)
-		done <- evalOut{state, err}
-	}()
-	// Overlap the next unit's ship with this evaluation: push its
-	// blocks into the worker's cache while the worker computes.
-	if r.s.ShipBlocks && !r.s.NoPrefetch && !forceInline {
-		r.prefetch(ctx, wi)
-	}
-	out := <-done
-	if out.err != nil {
-		return nil, out.err
+	state, err := w.Eval(ctx, body)
+	if err != nil {
+		return nil, err
 	}
 	if r.s.ShipBlocks && req.CacheKey != "" {
 		r.mu.Lock()
@@ -909,7 +883,7 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline b
 			r.s.event("cache-hit", w.Name(), u.id, "evaluated from cached %s (0 payload bytes shipped)", req.CacheKey)
 		}
 	}
-	return out.state, nil
+	return state, nil
 }
 
 // isCacheMiss matches the worker's distinguishable cache-miss answer.
@@ -918,68 +892,6 @@ func isCacheMiss(err error) (*xrpc.Error, bool) {
 		return xe, true
 	}
 	return nil, false
-}
-
-// prefetch pushes the first still-unshipped queued unit's blocks into
-// worker wi's cache — at most one push per eval, bounded by the
-// prefetch budget. Failures only cost the optimization: the unit ships
-// inline when claimed.
-func (r *elasticRun) prefetch(ctx context.Context, wi int) {
-	cw, ok := r.s.Workers[wi].(CacheWorker)
-	if !ok {
-		return
-	}
-	budget := r.s.PrefetchBytes
-	if budget <= 0 {
-		budget = r.s.maxShip()
-	}
-	var target *unit
-	var key string
-	r.mu.Lock()
-	// Bootstrap barrier: until every healthy worker's describe has
-	// resolved, the cachedElsewhere check below is blind to keys that
-	// worker is about to advertise — a prefetch now could re-ship a
-	// payload some peer already holds. Deferring costs nothing; the
-	// next attempt prefetches once the descriptions land.
-	if r.describedLocked() && r.cacheOK[wi] && !r.failed {
-		for _, u := range r.queue {
-			if u.failedOn[wi] {
-				continue
-			}
-			k := r.unitKey(u)
-			if r.cached[wi][k] || r.prefTried[wi][k] {
-				continue
-			}
-			// Don't burn bytes pushing blocks another healthy worker
-			// already holds — affinity will route the unit there. If
-			// that worker dies, the steal grace expires and the unit
-			// ships inline on whoever claims it.
-			if r.cachedElsewhereLocked(u, wi) {
-				continue
-			}
-			r.prefTried[wi][k] = true
-			target, key = u, k
-			break
-		}
-	}
-	r.mu.Unlock()
-	if target == nil {
-		return
-	}
-	blocks, err := r.shipUnitBlocks(target)
-	if err != nil || len(blocks) > budget || len(blocks) > r.s.maxShip() {
-		return
-	}
-	if err := cw.PutBlocks(ctx, key, blocks); err != nil {
-		r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "push of %s failed: %v", key, err)
-		return
-	}
-	r.mu.Lock()
-	r.cached[wi][key] = true
-	r.mu.Unlock()
-	r.s.Stats.Prefetches.Add(1)
-	r.s.Stats.ShippedBytes.Add(int64(len(blocks)))
-	r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "shipped %d bytes as %s ahead of claim", len(blocks), key)
 }
 
 // resolveCache queries the worker's cache capability and seeds the

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,51 +143,6 @@ func corruptCacheDir(t *testing.T, dir string) {
 
 // ---- worker cache endpoints ----
 
-func TestWorkerPutBlocksHostile(t *testing.T) {
-	c := spillN(t, 2)
-	blocks, err := ReadPartitionBlocks(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, _ := NewBlockCache("", 1<<30)
-	srv := &Server{Cache: cache}
-	enc := func(req *PutBlocksRequest) []byte {
-		b, err := cbor.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	cases := []struct {
-		name string
-		srv  *Server
-		req  []byte
-	}{
-		{"no cache", &Server{}, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k", Blocks: blocks})},
-		{"garbage body", srv, []byte("not cbor")},
-		{"future version", srv, enc(&PutBlocksRequest{Version: ProtocolVersion + 1, Key: "k", Blocks: blocks})},
-		{"empty key", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Blocks: blocks})},
-		{"empty blocks", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k"})},
-		{"not a block file", srv, enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "k", Blocks: []byte("junk payload")})},
-	}
-	for _, tc := range cases {
-		if _, err := tc.srv.PutBlocks(tc.req); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	if cache.Bytes() != 0 {
-		t.Fatal("a rejected putBlocks left bytes in the cache")
-	}
-	resp, err := srv.PutBlocks(enc(&PutBlocksRequest{Version: ProtocolVersion, Key: "good", Blocks: blocks}))
-	if err != nil || !resp.Stored {
-		t.Fatalf("valid putBlocks: %+v, %v", resp, err)
-	}
-	dr := srv.Describe()
-	if !dr.CacheEnabled || len(dr.Cached) != 1 || dr.Cached[0] != "good" || dr.CacheBytes != int64(len(blocks)) {
-		t.Fatalf("describe does not advertise the stored payload: %+v", dr)
-	}
-}
-
 func TestWorkerEvalFromCacheOnly(t *testing.T) {
 	c := spillN(t, 2)
 	blocks, err := ReadPartitionBlocks(c, 0)
@@ -215,6 +171,9 @@ func TestWorkerEvalFromCacheOnly(t *testing.T) {
 	wantState, err := srv.EvalPartition(mustCBOR(t, req))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dr := srv.Describe(); !dr.CacheEnabled || len(dr.Cached) != 1 || dr.Cached[0] != "k0" || dr.CacheBytes != int64(len(blocks)) {
+		t.Fatalf("describe does not advertise the cached payload: %+v", dr)
 	}
 	// ...so the same evaluation runs from the cache with zero payload
 	// bytes, returning byte-identical state.
@@ -311,9 +270,6 @@ func TestElasticStaleFingerprintReships(t *testing.T) {
 
 	other := New(spillN(t, 8), w)
 	other.ShipBlocks = true
-	// No prefetch: a cache hit below could then only come from a key
-	// cached before this run — i.e. served stale state.
-	other.NoPrefetch = true
 	other.Logf = t.Logf
 	got, err := other.RunAll(2)
 	if err != nil {
@@ -325,6 +281,76 @@ func TestElasticStaleFingerprintReships(t *testing.T) {
 	}
 	if other.Stats.ShippedBytes.Load() == 0 {
 		t.Fatal("re-partitioned corpus shipped nothing: stale cache served it")
+	}
+}
+
+// TestElasticColdShipsEachUnitOnce pins the cold-run ship volume: with
+// empty caches and no speculation (a speculative duplicate ships again
+// on purpose), every unit's payload crosses the wire exactly once,
+// inside the evaluation request that needs it — so ShippedBytes is the
+// exact sum of the compressed payloads, whole partitions or clipped
+// sub-ranges, whatever the claim interleaving.
+func TestElasticColdShipsEachUnitOnce(t *testing.T) {
+	c := spillN(t, 4)
+	for _, tc := range []struct {
+		name        string
+		splitFactor float64
+		splits      int64
+	}{
+		{"whole", -1, 0},
+		{"split", 0.5, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var workers []Worker
+			for i := 0; i < 2; i++ {
+				cache, _ := NewBlockCache("", 1<<30)
+				workers = append(workers, &Loopback{Server: &Server{Cache: cache}, Label: fmt.Sprintf("w%d", i)})
+			}
+			s := New(c, workers...)
+			s.ShipBlocks = true
+			s.SpeculateAfter = -1
+			s.SplitFactor = tc.splitFactor
+			s.Logf = t.Logf
+			var want int64
+			for k, info := range c.Manifest.Partitions {
+				blocks, err := ReadPartitionBlocks(c, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads := [][]byte{blocks}
+				if n := s.splitCount(k); n > 1 {
+					payloads = payloads[:0]
+					for j, sub := range core.SubPartitionInfos(info, n) {
+						clipped, err := core.ClipPartitionBlocks(blocks, core.SubRowRange(info, sub, j == 0))
+						if err != nil {
+							t.Fatal(err)
+						}
+						payloads = append(payloads, clipped)
+					}
+				}
+				for _, p := range payloads {
+					z, err := core.CompressPartitionBlocks(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want += int64(len(z))
+				}
+			}
+			got, err := s.RunAll(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareToGolden(t, "elastic-cold-once-"+tc.name, got)
+			if n := s.Stats.Splits.Load(); n != tc.splits {
+				t.Fatalf("%d partitions split, want %d", n, tc.splits)
+			}
+			if h, m := s.Stats.CacheHits.Load(), s.Stats.CacheMisses.Load(); h != 0 || m != 0 {
+				t.Fatalf("cold run saw %d cache hits and %d misses, want none", h, m)
+			}
+			if shipped := s.Stats.ShippedBytes.Load(); shipped != want {
+				t.Fatalf("cold run shipped %d bytes, want %d (each unit's compressed payload once)", shipped, want)
+			}
+		})
 	}
 }
 
@@ -603,10 +629,13 @@ func TestElasticStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := s.Stats.Summary()
-	for _, field := range []string{"evals=", "steals=", "speculations=", "splits=", "cache-hits=", "shipped-bytes="} {
+	for _, field := range []string{"evals=", "local=", "steals=", "speculations=", "spec-wins=", "spec-dups=", "splits=", "cache-hits=", "cache-misses=", "shipped-bytes="} {
 		if !strings.Contains(sum, field) {
 			t.Fatalf("summary %q lacks %s", sum, field)
 		}
+	}
+	if strings.Contains(sum, "prefetches=") {
+		t.Fatalf("summary %q still reports prefetches", sum)
 	}
 	if !strings.Contains(sum, "evals=2") {
 		t.Fatalf("summary %q: want evals=2", sum)

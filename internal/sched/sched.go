@@ -25,9 +25,7 @@
 // independently and fold back into the unsplit partition state. In
 // ship-blocks mode workers keep a content-addressed BlockCache of
 // shipped payloads (cache.go) keyed by manifest fingerprint, so a
-// warm re-run sends key references instead of block bytes, and the
-// scheduler prefetches the next unit's blocks into the worker's cache
-// while the current evaluation runs.
+// warm re-run sends key references instead of block bytes.
 //
 // Failure handling: a worker that errors (dead endpoint, rejected
 // request, undecodable or mismatched state) is marked unhealthy and
@@ -48,7 +46,6 @@ import (
 	"time"
 
 	"blueskies/internal/analysis"
-	"blueskies/internal/cbor"
 	"blueskies/internal/core"
 	"blueskies/internal/xrpc"
 )
@@ -73,12 +70,11 @@ type CacheInfo struct {
 
 // CacheWorker is the optional Worker capability for content-addressed
 // block caching: the scheduler reads the cache state once per run
-// (CacheInfo) and pushes upcoming units' payloads ahead of their claim
-// (PutBlocks — the prefetch path). Workers without it always receive
-// inline block bytes, which is always correct, just never warm.
+// (CacheInfo) and sends CacheKey references for the payloads it holds.
+// Workers without it always receive inline block bytes, which is
+// always correct, just never warm.
 type CacheWorker interface {
 	CacheInfo(ctx context.Context) (CacheInfo, error)
-	PutBlocks(ctx context.Context, key string, blocks []byte) error
 }
 
 // DialTimeout bounds one remote partition evaluation end to end.
@@ -118,17 +114,6 @@ func (w *xrpcWorker) CacheInfo(ctx context.Context) (CacheInfo, error) {
 	return CacheInfo{Enabled: dr.CacheEnabled, Keys: dr.Cached, Bytes: dr.CacheBytes}, nil
 }
 
-// PutBlocks implements CacheWorker: push one payload into the daemon's
-// cache ahead of the evaluation that will reference it.
-func (w *xrpcWorker) PutBlocks(ctx context.Context, key string, blocks []byte) error {
-	body, err := cbor.Marshal(&PutBlocksRequest{Version: ProtocolVersion, Key: key, Blocks: blocks})
-	if err != nil {
-		return err
-	}
-	_, err = w.c.ProcedureRaw(ctx, NSIDPutBlocks, nil, ContentTypeCBOR, body)
-	return err
-}
-
 // Scheduler places a corpus' partitions onto workers. Construct with
 // New; one Scheduler drives one evaluation run's placement (health
 // marks are per-run state).
@@ -137,16 +122,13 @@ type Scheduler struct {
 	// the authority on placement (manifest bases and record counts),
 	// and the fallback execution site.
 	Corpus *core.Corpus
-	// Workers are the placement targets, tried round-robin by
-	// partition index.
+	// Workers are the placement targets; each claims units from the
+	// run's shared pull queue.
 	Workers []Worker
 	// ShipBlocks streams each partition's framed block bytes inside the
 	// request instead of sending a store reference — required when
 	// workers cannot reach the store path.
 	ShipBlocks bool
-	// EvalWorkers fixes the traversal worker count per remote
-	// evaluation (0 = inherit the run's worker setting).
-	EvalWorkers int
 	// NoFallback disables the local out-of-core fallback; a partition
 	// every worker failed then fails the run.
 	NoFallback bool
@@ -160,20 +142,13 @@ type Scheduler struct {
 	// idle worker re-executes it speculatively. 0 picks a threshold
 	// automatically (3× the mean completed evaluation, floored so fast
 	// fleets never speculate on healthy evals); negative disables
-	// speculation, as does NoSpeculate.
+	// speculation.
 	SpeculateAfter time.Duration
-	// NoSpeculate disables speculative re-execution of stragglers.
-	NoSpeculate bool
 	// SplitFactor is the skew threshold for dynamic partition
 	// splitting: a partition whose record total exceeds this multiple
 	// of the median partition evaluates as contiguous sub-ranges. 0
 	// means DefaultSplitFactor; negative disables splitting.
 	SplitFactor float64
-	// NoPrefetch disables pushing the next unit's block payload into a
-	// worker's cache while its current evaluation runs.
-	NoPrefetch bool
-	// PrefetchBytes bounds one prefetched payload (0 = the ship bound).
-	PrefetchBytes int
 
 	// Stats counts this run's placement events; read after RunAll.
 	Stats RunStats
@@ -204,20 +179,20 @@ type RunStats struct {
 	Splits atomic.Int64
 	// CacheHits counts evaluations served from a worker's block cache
 	// (no payload shipped); CacheMisses counts key references the
-	// worker could not serve (the payload re-shipped inline);
-	// Prefetches counts payloads pushed ahead of their claim.
-	CacheHits, CacheMisses, Prefetches atomic.Int64
-	// ShippedBytes totals block payload bytes actually sent (inline
-	// ships plus prefetch pushes; cache-hit evaluations add nothing).
+	// worker could not serve (the payload re-shipped inline).
+	CacheHits, CacheMisses atomic.Int64
+	// ShippedBytes totals block payload bytes actually sent inline
+	// (cache-hit evaluations add nothing).
 	ShippedBytes atomic.Int64
+	Prefetches   atomic.Int64 // always zero; kept only until a benchmark change stops reading it
 }
 
 // Summary renders the counters on one line.
 func (st *RunStats) Summary() string {
-	return fmt.Sprintf("evals=%d local=%d steals=%d speculations=%d spec-wins=%d spec-dups=%d splits=%d cache-hits=%d cache-misses=%d prefetches=%d shipped-bytes=%d",
+	return fmt.Sprintf("evals=%d local=%d steals=%d speculations=%d spec-wins=%d spec-dups=%d splits=%d cache-hits=%d cache-misses=%d shipped-bytes=%d",
 		st.Evals.Load(), st.LocalEvals.Load(), st.Steals.Load(), st.Speculations.Load(),
 		st.SpecWins.Load(), st.SpecDuplicates.Load(), st.Splits.Load(),
-		st.CacheHits.Load(), st.CacheMisses.Load(), st.Prefetches.Load(), st.ShippedBytes.Load())
+		st.CacheHits.Load(), st.CacheMisses.Load(), st.ShippedBytes.Load())
 }
 
 // init sizes the per-run placement state; lazy so a Scheduler built as
@@ -330,11 +305,6 @@ func (s *Scheduler) evalPartition(part int, accs []analysis.Accumulator, workers
 type RemoteSource struct {
 	sched *Scheduler
 	part  int
-}
-
-// NewRemoteSource wraps one partition of the scheduler's corpus.
-func NewRemoteSource(s *Scheduler, part int) *RemoteSource {
-	return &RemoteSource{sched: s, part: part}
 }
 
 // Run implements analysis.Source.

@@ -34,10 +34,6 @@ const (
 	// NSIDEvalPartition is the partition-evaluation procedure: CBOR
 	// EvalRequest in, CBOR partition state (analysis.StateVersion) out.
 	NSIDEvalPartition = "blueskies.worker.evalPartition"
-	// NSIDPutBlocks pushes one partition's block payload into the
-	// worker's content-addressed cache ahead of evaluation — the
-	// prefetch half of the elastic scheduler.
-	NSIDPutBlocks = "blueskies.worker.putBlocks"
 )
 
 // CacheMissName is the xrpc error name a worker answers with when an
@@ -49,7 +45,7 @@ const CacheMissName = "CacheMiss"
 // ContentTypeCBOR labels the protocol's request and response bodies.
 const ContentTypeCBOR = "application/cbor"
 
-// ProtocolVersion is the evalPartition/putBlocks request format.
+// ProtocolVersion is the evalPartition request format.
 // Workers accept exactly this version: version 1 peers negotiated
 // block formats, and a build on either side of that change must fail
 // loudly rather than misread a request. New optional fields don't bump
@@ -92,26 +88,12 @@ type EvalRequest struct {
 	Range *core.RowRange `cbor:"range,omitempty"`
 }
 
-// PutBlocksRequest is the putBlocks input: one partition's framed
-// block payload and the content address to store it under.
-type PutBlocksRequest struct {
-	Version int    `cbor:"v"`
-	Key     string `cbor:"key"`
-	Blocks  []byte `cbor:"blocks"`
-}
-
-// PutBlocksResponse acknowledges a stored payload.
-type PutBlocksResponse struct {
-	Stored     bool  `json:"stored"`
-	CacheBytes int64 `json:"cacheBytes"`
-}
-
 // DescribeResponse is the describe query output.
 type DescribeResponse struct {
 	Evals     int64  `json:"evals"`
 	StoreRoot string `json:"storeRoot,omitempty"`
 	// CacheEnabled reports whether the worker runs a block cache
-	// (accepts putBlocks and CacheKey-only evaluations).
+	// (accepts CacheKey-only evaluations).
 	CacheEnabled bool `json:"cacheEnabled,omitempty"`
 	// Cached lists the cache's content-address keys, sorted — how a
 	// scheduler learns which partitions it can skip shipping.
@@ -132,9 +114,8 @@ type Server struct {
 	Workers int
 	// Cache, when set, is the worker's content-addressed block cache:
 	// shipped payloads carrying a CacheKey are stored after use,
-	// putBlocks prefetches are accepted, describe advertises the
-	// cached keys, and CacheKey-only requests evaluate without any
-	// bytes on the wire.
+	// describe advertises the cached keys, and CacheKey-only requests
+	// evaluate without any bytes on the wire.
 	Cache *BlockCache
 
 	evals atomic.Int64
@@ -158,9 +139,6 @@ func (s *Server) Mux() *xrpc.Mux {
 		}
 		return xrpc.Raw{ContentType: ContentTypeCBOR, Data: state}, nil
 	})
-	m.Procedure(NSIDPutBlocks, func(_ context.Context, _ url.Values, input []byte) (any, error) {
-		return s.PutBlocks(input)
-	})
 	return m
 }
 
@@ -173,39 +151,6 @@ func (s *Server) Describe() *DescribeResponse {
 		dr.CacheBytes = s.Cache.Bytes()
 	}
 	return dr
-}
-
-// PutBlocks stores one prefetched partition payload in the cache. The
-// payload's frame header is validated (magic + the block format) before
-// storing — the cache never holds bytes that could not have
-// come from a partition store; the per-frame checksums are verified at
-// evaluation time like any shipped payload.
-func (s *Server) PutBlocks(input []byte) (*PutBlocksResponse, error) {
-	if s.Cache == nil {
-		return nil, xrpc.ErrInvalidRequest("worker runs no block cache")
-	}
-	var req PutBlocksRequest
-	if err := cbor.Unmarshal(input, &req); err != nil {
-		return nil, xrpc.ErrInvalidRequest("decode putBlocks request: %v", err)
-	}
-	if err := checkProtocol(req.Version); err != nil {
-		return nil, err
-	}
-	if req.Key == "" {
-		return nil, xrpc.ErrInvalidRequest("putBlocks without a cache key")
-	}
-	if len(req.Blocks) == 0 {
-		return nil, xrpc.ErrInvalidRequest("putBlocks without block bytes")
-	}
-	if pr, err := core.NewPartitionReader(bytes.NewReader(req.Blocks)); err != nil {
-		return nil, xrpc.ErrInvalidRequest("payload is not a partition block file: %v", err)
-	} else {
-		pr.Close()
-	}
-	if err := s.Cache.Put(req.Key, req.Blocks); err != nil {
-		return nil, xrpc.ErrInternal("cache store: %v", err)
-	}
-	return &PutBlocksResponse{Stored: true, CacheBytes: s.Cache.Bytes()}, nil
 }
 
 // EvalPartition decodes one EvalRequest, runs the level-one traversal,
@@ -370,16 +315,8 @@ func (l *Loopback) CacheInfo(context.Context) (CacheInfo, error) {
 	return CacheInfo{Enabled: dr.CacheEnabled, Keys: dr.Cached, Bytes: dr.CacheBytes}, nil
 }
 
-// PutBlocks implements CacheWorker through the same handler the
-// daemon serves, wire codec included.
-func (l *Loopback) PutBlocks(_ context.Context, key string, blocks []byte) error {
-	body, err := cbor.Marshal(&PutBlocksRequest{Version: ProtocolVersion, Key: key, Blocks: blocks})
-	if err != nil {
-		return err
-	}
-	_, err = l.Server.PutBlocks(body)
-	return err
-}
+// PutBlocks is inert and no scheduler path calls it; kept only until a benchmark change stops calling it.
+func (l *Loopback) PutBlocks(context.Context, string, []byte) error { return nil }
 
 // ReadPartitionBlocks reads partition k's framed block-file bytes from
 // an opened store — the shipping form for workers that cannot reach
